@@ -16,8 +16,6 @@ from typing import Callable, Sequence
 
 from .bits import BitString, Dyadic, ONE
 from .clopen import ApproxSequence, ClopenClass
-from .clopen import _count as _trie_count
-from .clopen import _iter_mixed
 from .errors import InternalError, PreconditionError
 
 __all__ = [
@@ -87,12 +85,12 @@ def left_sets(P: ClopenClass, i: int) -> ClopenClass:
 def _meet_measure(P: ClopenClass, u: ClopenClass) -> Dyadic:
     """Measure of the part of P below some member of u (u is shallower than P).
 
-    Reinterpreting u's trie at P's depth turns each member into its cylinder,
-    so the bound stays cheap even when u holds exponentially many strings.
+    Lifting u to P's depth turns each member into its cylinder, so the bound
+    stays cheap even when u holds exponentially many strings.
     """
     if u.depth > P.depth:
         raise PreconditionError("level set deeper than the class")
-    return P.intersect(ClopenClass(P.depth, u._root)).measure()
+    return P.intersect(u.lift(P.depth)).measure()
 
 
 @dataclass(frozen=True)
@@ -219,8 +217,7 @@ def density_threshold_experiment(
     for i, length in enumerate(lengths):
         # full regions have density 1, so only mixed prefixes can set the minimum
         best, arg = ONE, P.leftmost(length)
-        for value, sub in _iter_mixed(P._root, length):
-            d = Dyadic(_trie_count(sub, P.depth - length), P.depth - length)
+        for value, d in P.mixed_densities(length):
             if d < best:
                 best, arg = d, BitString.from_int(value, length)
         thr = Dyadic.pow2(-g(i))

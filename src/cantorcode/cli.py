@@ -309,6 +309,21 @@ def cmd_fixtures(args) -> int:
     return EXIT_OK
 
 
+def _int_at_least(low: int):
+    """argparse type for an integer flag no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cantorcode",
@@ -338,14 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prune", help="run the budgeted pruning construction")
     add_class(p)
     p.add_argument("--schedule", required=True)
-    p.add_argument("--levels", type=int, required=True)
+    p.add_argument("--levels", type=_int_at_least(0), required=True)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_prune)
 
     p = sub.add_parser("verify", help="check extension/density properties or the tree measure condition")
     add_class(p, required=False)
     p.add_argument("--schedule")
-    p.add_argument("--levels", type=int)
+    p.add_argument("--levels", type=_int_at_least(0))
     p.add_argument("--check", choices=("extension", "density", "both"), default="both")
     p.add_argument("--tree")
     p.set_defaults(fn=cmd_verify)
@@ -361,26 +376,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_splice_check)
 
     p = sub.add_parser("sweep", help="labelability vs splice-reducibility agreement sweep")
-    p.add_argument("--count", type=int, default=1000)
+    p.add_argument("--count", type=_int_at_least(0), default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-height", type=int, default=3)
+    p.add_argument("--max-height", type=_int_at_least(1), default=3)
     p.add_argument("--max-per-level", type=int, default=10)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("report", help="redundancy table for a schedule")
     p.add_argument("--schedule", required=True)
-    p.add_argument("--n-max", type=int, default=4096)
+    p.add_argument("--n-max", type=_int_at_least(1), default=4096)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("vt-run", help="truncated-cover chain or density-floor experiment")
     p.add_argument("--mode", choices=("chain", "density"), default="chain")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--t-max", type=int, default=3)
+    p.add_argument("--t-max", type=_int_at_least(1), default=3)
     add_class(p, required=False)
     p.add_argument("--schedule")
-    p.add_argument("--levels", type=int)
+    p.add_argument("--levels", type=_int_at_least(0))
     p.add_argument("--out")
     p.set_defaults(fn=cmd_vt_run)
 

@@ -1,10 +1,12 @@
 """Finite clopen subsets of Cantor space at a fixed depth.
 
-A class of depth d is a set of length-d words, stored as a canonical binary
-trie so that near-full classes at depth 24+ stay cheap: a trie node is either
-True (everything below present), False (nothing below), or a (left, right)
-pair that is never uniformly full or empty.  All measures and densities come
-out as exact dyadics.
+A class of depth d is a set of length-d words, stored as a canonical counted
+binary trie so that near-full classes at depth 24+ stay cheap: a trie node is
+either True (everything below present), False (nothing below), or a
+(left, right, count) triple that is never uniformly full or empty.  The count
+invariant: count is the number of members below the node, taken at the
+node's height, so member totals and densities cost O(1) per node.  All
+measures and densities come out as exact dyadics.
 
 Also provides the shrinking-approximation wrapper, the text file format, the
 budgeted pruning construction, and the extension/density property verifiers.
@@ -39,26 +41,40 @@ __all__ = [
 ]
 
 # -- trie primitives ---------------------------------------------------------
-# node := True (full subtree) | False (empty subtree) | (left, right)
+# node := True (full subtree) | False (empty subtree) | (left, right, count)
+#
+# A node's height is the number of bits below it; the root of a depth-d class
+# has height d.  `count` is the number of members below an interior node at
+# its own height, and 0 < count < 2^height: an interior node is never
+# uniformly full or empty.  Every walk that builds a node passes its height to
+# `_make`, which sums the children's counts, so a node's count is O(1) to read.
 
 _FULL = True
 _EMPTY = False
 
 
-def _make(left, right):
+def _count(node, height: int) -> int:
+    if node is _FULL:
+        return 1 << height
+    if node is _EMPTY:
+        return 0
+    return node[2]
+
+
+def _make(left, right, height: int):
+    """Canonical node of the given height over two children one level lower."""
     if left is _FULL and right is _FULL:
         return _FULL
     if left is _EMPTY and right is _EMPTY:
         return _EMPTY
-    return (left, right)
+    return (left, right, _count(left, height - 1) + _count(right, height - 1))
 
 
-def _count(node, depth: int) -> int:
-    if node is _FULL:
-        return 1 << depth
-    if node is _EMPTY:
-        return 0
-    return _count(node[0], depth - 1) + _count(node[1], depth - 1)
+def _split(node):
+    """Children of a node, a full or empty node standing for two copies of itself."""
+    if node is _FULL or node is _EMPTY:
+        return node, node
+    return node[0], node[1]
 
 
 def _at(node, value: int, length: int):
@@ -70,57 +86,64 @@ def _at(node, value: int, length: int):
     return node
 
 
-def _remove(node, value: int, length: int):
+def _remove(node, value: int, length: int, height: int):
     """Node with the cylinder below the given prefix emptied."""
     if length == 0 or node is _EMPTY:
         return _EMPTY if length == 0 else node
-    left, right = (node, node) if node is _FULL else node
+    left, right = _split(node)
     bit = (value >> (length - 1)) & 1
     rest = value & ((1 << (length - 1)) - 1)
     if bit == 0:
-        return _make(_remove(left, rest, length - 1), right)
-    return _make(left, _remove(right, rest, length - 1))
+        return _make(_remove(left, rest, length - 1, height - 1), right, height)
+    return _make(left, _remove(right, rest, length - 1, height - 1), height)
 
 
-def _insert(node, value: int, length: int):
+def _insert(node, value: int, length: int, height: int):
     """Node with the cylinder below the given prefix filled."""
     if length == 0 or node is _FULL:
         return _FULL if length == 0 else node
-    left, right = (node, node) if node is _EMPTY else node
+    left, right = _split(node)
     bit = (value >> (length - 1)) & 1
     rest = value & ((1 << (length - 1)) - 1)
     if bit == 0:
-        return _make(_insert(left, rest, length - 1), right)
-    return _make(left, _insert(right, rest, length - 1))
+        return _make(_insert(left, rest, length - 1, height - 1), right, height)
+    return _make(left, _insert(right, rest, length - 1, height - 1), height)
 
 
-def _union(a, b):
+def _union(a, b, height: int):
     if a is _FULL or b is _FULL:
         return _FULL
     if a is _EMPTY:
         return b
     if b is _EMPTY:
         return a
-    return _make(_union(a[0], b[0]), _union(a[1], b[1]))
+    return _make(_union(a[0], b[0], height - 1), _union(a[1], b[1], height - 1), height)
 
 
-def _intersect(a, b):
+def _intersect(a, b, height: int):
     if a is _EMPTY or b is _EMPTY:
         return _EMPTY
     if a is _FULL:
         return b
     if b is _FULL:
         return a
-    return _make(_intersect(a[0], b[0]), _intersect(a[1], b[1]))
+    return _make(_intersect(a[0], b[0], height - 1), _intersect(a[1], b[1], height - 1), height)
 
 
-def _minus(a, b):
+def _minus(a, b, height: int):
     if a is _EMPTY or b is _FULL:
         return _EMPTY
     if b is _EMPTY:
         return a
-    aa = (a, a) if a is _FULL else a
-    return _make(_minus(aa[0], b[0]), _minus(aa[1], b[1]))
+    aa = _split(a)
+    return _make(_minus(aa[0], b[0], height - 1), _minus(aa[1], b[1], height - 1), height)
+
+
+def _lift(node, shift: int):
+    """The same cylinders with every count taken `shift` levels deeper."""
+    if node is _FULL or node is _EMPTY:
+        return node
+    return (_lift(node[0], shift), _lift(node[1], shift), node[2] << shift)
 
 
 def _subset(a, b) -> bool:
@@ -158,19 +181,23 @@ def _iter_prefix_values(node, length: int, acc: int = 0) -> Iterator[int]:
     yield from _iter_prefix_values(node[1], length - 1, (acc << 1) | 1)
 
 
-def _iter_mixed(node, length: int, acc: int = 0) -> Iterator[tuple[int, tuple]]:
+def _iter_mixed(node, length: int, start: int = 0) -> Iterator[tuple[int, tuple]]:
     """Prefixes of the given length whose subtree is neither full nor empty.
 
-    Lexicographic order.  Full regions are skipped wholesale, which is what
-    keeps scans over near-full deep classes cheap.
+    Lexicographic order, from prefix value `start` on.  Full regions and the
+    regions before `start` are skipped wholesale, which is what keeps scans
+    over near-full deep classes cheap.
     """
-    if node is _EMPTY or node is _FULL:
-        return
-    if length == 0:
-        yield acc, node
-        return
-    yield from _iter_mixed(node[0], length - 1, acc << 1)
-    yield from _iter_mixed(node[1], length - 1, (acc << 1) | 1)
+    stack = [(node, length, 0)]
+    while stack:
+        node, rest, acc = stack.pop()
+        if node is _FULL or node is _EMPTY or (acc + 1) << rest <= start:
+            continue
+        if rest == 0:
+            yield acc, node
+        else:
+            stack.append((node[1], rest - 1, (acc << 1) | 1))
+            stack.append((node[0], rest - 1, acc << 1))
 
 
 def _ext_count(node, depth: int) -> int:
@@ -184,18 +211,17 @@ def _ext_count(node, depth: int) -> int:
     return _ext_count(node[0], depth - 1) + _ext_count(node[1], depth - 1)
 
 
-def _take_leftmost(node, depth: int, quota: int):
+def _take_leftmost(node, height: int, quota: int):
     """Trie keeping only the `quota` lexicographically least members."""
     if quota <= 0 or node is _EMPTY:
         return _EMPTY
-    total = _count(node, depth)
-    if quota >= total:
+    if quota >= _count(node, height):
         return node
-    left, right = (node, node) if node is _FULL else node
-    nl = _count(left, depth - 1)
+    left, right = _split(node)
+    nl = _count(left, height - 1)
     if quota <= nl:
-        return _make(_take_leftmost(left, depth - 1, quota), _EMPTY)
-    return _make(left, _take_leftmost(right, depth - 1, quota - nl))
+        return _make(_take_leftmost(left, height - 1, quota), _EMPTY, height)
+    return _make(left, _take_leftmost(right, height - 1, quota - nl), height)
 
 
 # -- the public class --------------------------------------------------------
@@ -232,7 +258,7 @@ class ClopenClass:
         for m in members:
             if len(m) != depth:
                 raise PreconditionError(f"member {m} has length {len(m)}, expected {depth}")
-            root = _insert(root, m.as_int, depth)
+            root = _insert(root, m.as_int, depth, depth)
         return cls(depth, root)
 
     @classmethod
@@ -241,7 +267,7 @@ class ClopenClass:
         for p in prefixes:
             if len(p) > depth:
                 raise PreconditionError(f"cylinder {p} deeper than class depth {depth}")
-            root = _insert(root, p.as_int, len(p))
+            root = _insert(root, p.as_int, len(p), depth)
         return cls(depth, root)
 
     # -- queries -------------------------------------------------------------
@@ -308,6 +334,18 @@ class ClopenClass:
             raise PreconditionError("string deeper than class approximation")
         return BitString.from_int(_leftmost(self._root, self.depth) >> (self.depth - length), length)
 
+    def mixed_densities(self, length: int) -> Iterator[tuple[int, Dyadic]]:
+        """(prefix value, density) of each length-`length` prefix whose cylinder the
+        class neither fills nor misses, lexicographically.
+
+        Every other extendible prefix of that length has density 1.
+        """
+        if not 0 <= length <= self.depth:
+            raise PreconditionError("string deeper than class approximation")
+        height = self.depth - length
+        for value, sub in _iter_mixed(self._root, length):
+            yield value, Dyadic(sub[2], height)
+
     def members(self) -> list[BitString]:
         if self._n > (1 << 22):
             raise PreconditionError(f"refusing to materialize {self._n} members")
@@ -317,30 +355,35 @@ class ClopenClass:
 
     def minus_cylinder(self, s: BitString) -> "ClopenClass":
         self._check_len(s)
-        return ClopenClass(self.depth, _remove(self._root, s.as_int, len(s)))
+        return ClopenClass(self.depth, _remove(self._root, s.as_int, len(s), self.depth))
 
     def part_below(self, s: BitString) -> "ClopenClass":
         """The class restricted to extensions of s (same depth)."""
         self._check_len(s)
-        sub = _at(self._root, s.as_int, len(s))
-        out = _EMPTY
-        if sub is not _EMPTY:
-            for i in range(len(s) - 1, -1, -1):
-                sub = (sub, _EMPTY) if not s[i] else (_EMPTY, sub)
-            out = sub
-        return ClopenClass(self.depth, out)
+        value, length = s.as_int, len(s)
+        sub = _at(self._root, value, length)
+        for height in range(self.depth - length + 1, self.depth + 1):
+            sub = _make(_EMPTY, sub, height) if value & 1 else _make(sub, _EMPTY, height)
+            value >>= 1
+        return ClopenClass(self.depth, sub)
+
+    def lift(self, depth: int) -> "ClopenClass":
+        """The depth-`depth` class in which each member becomes its cylinder."""
+        if depth < self.depth:
+            raise PreconditionError(f"cannot lift a depth-{self.depth} class to depth {depth}")
+        return ClopenClass(depth, _lift(self._root, depth - self.depth))
 
     def union(self, other: "ClopenClass") -> "ClopenClass":
         self._same_depth(other)
-        return ClopenClass(self.depth, _union(self._root, other._root))
+        return ClopenClass(self.depth, _union(self._root, other._root, self.depth))
 
     def intersect(self, other: "ClopenClass") -> "ClopenClass":
         self._same_depth(other)
-        return ClopenClass(self.depth, _intersect(self._root, other._root))
+        return ClopenClass(self.depth, _intersect(self._root, other._root, self.depth))
 
     def minus(self, other: "ClopenClass") -> "ClopenClass":
         self._same_depth(other)
-        return ClopenClass(self.depth, _minus(self._root, other._root))
+        return ClopenClass(self.depth, _minus(self._root, other._root, self.depth))
 
     def is_subset_of(self, other: "ClopenClass") -> bool:
         self._same_depth(other)
@@ -409,6 +452,8 @@ def parse_class_text(text: str) -> ClopenClass:
         depth = int(lines[0][len("depth "):])
     except ValueError:
         raise InputError("line 1 must be 'depth <d>'") from None
+    if depth < 0:
+        raise InputError(f"class depth must be non-negative, got {depth}")
     root = _EMPTY
     seen: set[int] = set()
     for k, line in enumerate(lines[1:], start=2):
@@ -421,7 +466,7 @@ def parse_class_text(text: str) -> ClopenClass:
         if v in seen:
             raise InputError(f"duplicate member at line {k}")
         seen.add(v)
-        root = _insert(root, v, depth)
+        root = _insert(root, v, depth, depth)
     return ClopenClass(depth, root)
 
 
@@ -489,11 +534,22 @@ def _coding_budget(sched: "Schedule", levels: int) -> Dyadic:
 def prune(P: ClopenClass, sched: "Schedule", levels: int) -> PruneResult:
     """Carve low-density cylinders out of P until every surviving block boundary is thick.
 
-    Repeatedly scans block-boundary lengths in increasing order and strings in
-    lexicographic order, removing the remainder below the least string whose
-    current density is at most 2^(m_n - l_n), until nothing qualifies.  The
-    removals Q have measure at most the series sum, so the result is nonempty
-    whenever that sum is below measure(P).
+    Each act removes the remainder below the least pair (n, sigma), block
+    boundaries n in increasing order and level-n strings sigma in lexicographic
+    order, whose current density is at most 2^(m_n - l_n); acts repeat until
+    nothing qualifies.  The removals Q have measure at most the series sum, so
+    the result is nonempty whenever that sum is below measure(P).
+
+    The pairs are visited in one forward pass with a cursor, not rescanned from
+    level 0 after every act.  When the act at (n, sigma) is made, no pair before
+    it qualifies.  Removing the cylinder of sigma empties its extensions and
+    lowers the densities of its prefixes; every other string keeps its density.
+    So the only pairs before the cursor that can newly qualify are the ancestors
+    of sigma at shorter boundaries k < n.  They are checked in increasing k, and
+    the first thin one is acted on next, which in turn can make only its own
+    ancestors thin.  When no ancestor qualifies, the scan resumes at level n just
+    after sigma.  The acts are therefore exactly those of a rescan from level 0
+    after each act, in the same order.
     """
     if sched.L(levels) > P.depth:
         raise PreconditionError(
@@ -504,29 +560,40 @@ def prune(P: ClopenClass, sched: "Schedule", levels: int) -> PruneResult:
         raise PreconditionError(
             f"measure budget exhausted: partial sum {budget} >= measure {P.measure()}"
         )
+    depth = P.depth
     lengths = [sched.L(n) for n in range(levels)]
-    thresholds = [Dyadic.pow2(sched.m(n) - sched.l(n)) for n in range(levels)]
+    # density count / 2^h <= 2^(m - l) at height h, as a bound on the count;
+    # the budget check makes every bound smaller than 2^h, so no full node is thin
+    limits = []
+    for n, length in enumerate(lengths):
+        e = depth - length + sched.m(n) - sched.l(n)
+        limits.append(1 << e if e >= 0 else 0)
+
     current = P
-    q = ClopenClass.empty(P.depth)
+    q = ClopenClass.empty(depth)
     trace: list[ActRecord] = []
-    stage = 0
-    while True:
-        hit = None
-        for n, (length, thr) in enumerate(zip(lengths, thresholds)):
-            for value, sub in _iter_mixed(current._root, length):
-                if Dyadic(_count(sub, P.depth - length), P.depth - length) <= thr:
-                    hit = (n, BitString.from_int(value, length))
-                    break
-            if hit:
+
+    def thin(k: int, value: int) -> bool:
+        return 0 < _count(_at(current._root, value, lengths[k]), depth - lengths[k]) <= limits[k]
+
+    for n, length in enumerate(lengths):
+        start = 0
+        while True:
+            mixed = _iter_mixed(current._root, length, start)
+            value = next((v for v, sub in mixed if sub[2] <= limits[n]), None)
+            if value is None:
                 break
-        if hit is None:
-            break
-        n, sigma = hit
-        piece = current.part_below(sigma)
-        q = q.union(piece)
-        current = current.minus_cylinder(sigma)
-        stage += 1
-        trace.append(ActRecord(stage, n, sigma, piece.measure()))
+            start = value + 1
+            hit = (n, value)
+            while hit is not None:
+                k, v = hit
+                sigma = BitString.from_int(v, lengths[k])
+                piece = current.part_below(sigma)
+                q = q.union(piece)
+                current = current.minus_cylinder(sigma)
+                trace.append(ActRecord(len(trace) + 1, k, sigma, piece.measure()))
+                ancestors = ((j, v >> (lengths[k] - lengths[j])) for j in range(k))
+                hit = next((a for a in ancestors if thin(*a)), None)
     if q.measure() > budget:
         raise InternalError(f"removed measure {q.measure()} exceeds budget {budget}")
     if current.is_empty():
@@ -575,8 +642,7 @@ def verify_density_property(C: ClopenClass, sched: "Schedule", levels: int) -> P
     for i in range(levels):
         li = sched.L(i)
         thr = Dyadic.pow2(sched.m(i) - sched.l(i))
-        for value, sub in _iter_mixed(C._root, li):
-            dens = Dyadic(_count(sub, C.depth - li), C.depth - li)
+        for value, dens in C.mixed_densities(li):
             if not dens >= thr:
                 return PropertyVerdict(False, i, BitString.from_int(value, li), dens, thr)
     return PropertyVerdict(True)

@@ -107,6 +107,36 @@ class TestPruneVerify:
         assert run("verify", "--tree", str(path)) == 1  # series 3/2 vs measure 8/128
 
 
+class TestBadNumbers:
+    @pytest.mark.parametrize("argv", [
+        ("report", "--schedule", "kucera", "--n-max", "0"),
+        ("report", "--schedule", "kucera", "--n-max", "-5"),
+        ("sweep", "--count", "3", "--max-height", "0"),
+        ("sweep", "--count", "-1"),
+        ("vt-run", "--t-max", "0"),
+        ("vt-run", "--mode", "density", "--class", "full:13", "--schedule", "kucera",
+         "--levels", "-1"),
+        ("prune", "--class", "full:4", "--schedule", "kucera", "--levels", "-1"),
+        ("verify", "--class", "full:4", "--schedule", "kucera", "--levels", "-1"),
+    ])
+    def test_out_of_range_flag_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "must be at least" in errors[0]
+
+    def test_negative_class_depth_exit_2(self, workdir, capsys):
+        path = workdir / "neg.txt"
+        path.write_text("depth -3\n")
+        assert run("prune", "--class", str(path), "--schedule", "kucera",
+                   "--levels", "1") == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: class depth must be non-negative, got -3"]
+
+
 class TestTreeCommands:
     @pytest.mark.parametrize("name,expected", [
         ("labelable_full_binary", 0),

@@ -88,6 +88,57 @@ class TestMeasureAndMembership:
         assert c.keep_leftmost(99) == c
 
 
+def recount(node, height: int) -> int:
+    """Members below a trie node, recounted from its leaves; checks every stored count."""
+    if node is True:
+        return 1 << height
+    if node is False:
+        return 0
+    left, right, count = node
+    total = recount(left, height - 1) + recount(right, height - 1)
+    assert count == total
+    assert 0 < count < 1 << height  # never uniformly full or empty
+    return total
+
+
+class TestCountInvariant:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_counts_survive_every_operation(self, data):
+        depth = data.draw(st.integers(0, 6), label="depth")
+
+        def prefix(max_len):
+            length = data.draw(st.integers(0, max_len))
+            return B.from_int(data.draw(st.integers(0, (1 << length) - 1)), length)
+
+        def fresh():
+            kind = data.draw(st.sampled_from(("from_members", "from_cylinders", "lift")))
+            if kind == "from_members":
+                words = st.integers(0, (1 << depth) - 1).map(lambda v: B.from_int(v, depth))
+                return ClopenClass.from_members(depth, data.draw(st.sets(words, max_size=12)))
+            if kind == "from_cylinders":
+                count = data.draw(st.integers(0, 4))
+                return ClopenClass.from_cylinders(depth, [prefix(depth) for _ in range(count)])
+            shallow_depth = data.draw(st.integers(0, depth))
+            shallow = ClopenClass.from_cylinders(
+                shallow_depth, [prefix(shallow_depth) for _ in range(data.draw(st.integers(0, 3)))]
+            )
+            lifted = shallow.lift(depth)
+            assert lifted == ClopenClass.from_cylinders(depth, shallow.members())
+            return lifted
+
+        c = fresh()
+        ops = ("minus_cylinder", "part_below", "union", "intersect", "minus", "keep_leftmost")
+        for op in data.draw(st.lists(st.sampled_from(ops), max_size=10), label="ops"):
+            if op in ("minus_cylinder", "part_below"):
+                c = getattr(c, op)(prefix(depth))
+            elif op == "keep_leftmost":
+                c = c.keep_leftmost(data.draw(st.integers(0, c.member_count)))
+            else:
+                c = getattr(c, op)(fresh())
+            assert recount(c._root, depth) == c.member_count == len(c.members())
+
+
 class TestFileFormat:
     def test_roundtrip(self):
         c = cls(3, "000", "101", "110")

@@ -166,6 +166,49 @@ def test_prune_matches_reference(seed):
         )
 
 
+def n_cascade_class(seed: int) -> tuple[frozenset[str], int]:
+    """A class built to make prune cascade under custom m=1,1,1; l=4,4,4.
+
+    Some level-1 strings (length 4) are full.  One or two of them keep only two
+    full level-2 children (length 8), density 2/16, exactly the level-1
+    threshold 2^(1-4), plus one to three thin level-2 children that lift them
+    just above it.  Removing the thin children drops the level-1 parent back to
+    the threshold, so the parent is acted on right after a longer-boundary act.
+    """
+    rng = random.Random(seed + 1300)
+    depth = rng.randint(12, 13)
+    tail = depth - 8
+    members: set[str] = set()
+    level1 = rng.sample(range(16), rng.randint(8, 10))
+    for sigma in level1:
+        members.update(format(sigma, "04b") + format(t, f"0{depth - 4}b")
+                       for t in range(1 << (depth - 4)))
+    for sigma in rng.sample(level1, rng.randint(1, 2)):
+        s = format(sigma, "04b")
+        members -= {m for m in members if m.startswith(s)}
+        kids = [s + format(c, "04b") for c in rng.sample(range(16), rng.randint(3, 5))]
+        for kid in kids[:2]:
+            members.update(kid + format(t, f"0{tail}b") for t in range(1 << tail))
+        for kid in kids[2:]:
+            keep = rng.randint(1, 1 << (tail - 3))
+            members.update(kid + format(t, f"0{tail}b") for t in rng.sample(range(1 << tail), keep))
+    return frozenset(members), depth
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_prune_cascade_matches_reference(seed):
+    sched = preset("custom", [1, 1, 1], [4, 4, 4])
+    members, depth = n_cascade_class(seed)
+    got = prune(to_class(members, depth), sched, 3)
+    want_members, want_acts = n_prune(members, depth, sched, 3)
+    assert [(a.level, str(a.sigma)) for a in got.trace] == [(lv, s) for lv, s, _ in want_acts]
+    assert [a.removed for a in got.trace] == [Dyadic(k, depth) for _, _, k in want_acts]
+    assert {str(x) for x in got.pstar.members()} == set(want_members)
+    assert {str(x) for x in got.q.members()} == members - want_members
+    # a cascade: an act at a shorter boundary right after a longer one
+    assert any(b[0] < a[0] for a, b in zip(want_acts, want_acts[1:]))
+
+
 @pytest.mark.parametrize("seed", range(16))
 def test_word_tables_match_reference(seed):
     rng = random.Random(seed + 500)
