@@ -53,7 +53,6 @@ from .analysis import (
     VtResult,
     density_threshold_experiment,
     left_sets,
-    leftmost_extendible,
     vt_construction,
 )
 

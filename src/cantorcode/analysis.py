@@ -19,8 +19,6 @@ from .clopen import ApproxSequence, ClopenClass
 from .errors import InternalError, PreconditionError
 
 __all__ = [
-    "TruncationPolicy",
-    "leftmost_extendible",
     "left_sets",
     "truncate_class",
     "VtLevel",
@@ -33,34 +31,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Deterministic truncation of a class under a measure threshold.
-
-    Members are enumerated lexicographically (one per stage, stages in string
-    order); the truncation keeps the longest initial segment whose measure
-    stays at or below the threshold, the whole class if it never exceeds it.
-    """
-
-    threshold: Dyadic
-
-    def apply(self, c: ClopenClass) -> ClopenClass:
-        quota_num = self.threshold.num << max(0, c.depth - self.threshold.exp)
-        if c.depth < self.threshold.exp:
-            quota_num >>= self.threshold.exp - c.depth
-        return c.keep_leftmost(quota_num)
-
-
 def truncate_class(c: ClopenClass, threshold: Dyadic) -> ClopenClass:
-    """Largest lexicographic initial segment of c with measure at most threshold."""
-    return TruncationPolicy(threshold).apply(c)
-
-
-def leftmost_extendible(P: ClopenClass, i: int) -> BitString:
-    """Lexicographically least extendible string of length i."""
-    if P.is_empty():
-        raise PreconditionError("empty class has no extendible strings")
-    return P.leftmost(i)
+    """Largest lexicographic initial segment of c with measure at most threshold:
+    its floor(threshold * 2^depth) least members, all of them if it has fewer."""
+    quota = threshold.shifted(c.depth)
+    return c.keep_leftmost(quota.num >> quota.exp)
 
 
 def left_sets(P: ClopenClass, i: int) -> ClopenClass:
@@ -70,7 +45,7 @@ def left_sets(P: ClopenClass, i: int) -> ClopenClass:
     so the intersection measure is at most 2^-i; that bound is re-checked
     exactly here rather than assumed.
     """
-    star = leftmost_extendible(P, i)
+    star = P.leftmost(i)
     prefixes = [star]
     for p in range(i):
         if star[p] == 1:

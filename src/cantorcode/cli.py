@@ -100,9 +100,7 @@ def cmd_encode(args) -> int:
     sched = parse_schedule_spec(args.schedule)
     source = _read_source(args.source)
     bits = len(source)
-    n = 0
-    while sched.M(n) < bits:
-        n += 1
+    n = sched.block_index(bits)
     if sched.M(n) > bits:  # pad a partial final block, keeping the true bit count
         source = source + BitString.from_int(0, sched.M(n) - bits)
     result = end_to_end(source, P, sched)

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, TYPE_CHECKING
 
-from .bits import BitString, Dyadic, dyadic_sum
+from .bits import BitString, Dyadic
 from .errors import InputError, InternalError, PreconditionError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -34,7 +34,7 @@ __all__ = [
     "verify_extension_property",
     "verify_density_property",
     "parse_class_text",
-    "render_class_text",
+    "write_class_text",
     "load_class",
     "save_class",
     "random_class",
@@ -51,6 +51,9 @@ __all__ = [
 
 _FULL = True
 _EMPTY = False
+
+# Most members a class may list, in memory or as text.
+MEMBER_CAP = 1 << 22
 
 
 def _count(node, height: int) -> int:
@@ -86,28 +89,27 @@ def _at(node, value: int, length: int):
     return node
 
 
-def _remove(node, value: int, length: int, height: int):
-    """Node with the cylinder below the given prefix emptied."""
-    if length == 0 or node is _EMPTY:
-        return _EMPTY if length == 0 else node
-    left, right = _split(node)
-    bit = (value >> (length - 1)) & 1
-    rest = value & ((1 << (length - 1)) - 1)
-    if bit == 0:
-        return _make(_remove(left, rest, length - 1, height - 1), right, height)
-    return _make(left, _remove(right, rest, length - 1, height - 1), height)
-
-
-def _insert(node, value: int, length: int, height: int):
-    """Node with the cylinder below the given prefix filled."""
-    if length == 0 or node is _FULL:
-        return _FULL if length == 0 else node
-    left, right = _split(node)
-    bit = (value >> (length - 1)) & 1
-    rest = value & ((1 << (length - 1)) - 1)
-    if bit == 0:
-        return _make(_insert(left, rest, length - 1, height - 1), right, height)
-    return _make(left, _insert(right, rest, length - 1, height - 1), height)
+def _put(node, value: int, length: int, height: int, leaf):
+    """Node with the cylinder below the given prefix made `leaf` (full or empty), by a
+    loop (siblings stacked going down, rejoined going up): no recursion limit applies."""
+    root, siblings = node, []
+    for shift in range(length - 1, -1, -1):
+        if node is leaf:
+            return root
+        if node is _FULL or node is _EMPTY:
+            siblings.append(node)  # both children of a constant node equal it
+        elif (value >> shift) & 1:
+            siblings.append(node[0])
+            node = node[1]
+        else:
+            siblings.append(node[1])
+            node = node[0]
+    sub = leaf
+    for h in range(height - length + 1, height + 1):
+        sibling = siblings.pop()
+        sub = _make(sibling, sub, h) if value & 1 else _make(sub, sibling, h)
+        value >>= 1
+    return sub
 
 
 def _union(a, b, height: int):
@@ -258,7 +260,7 @@ class ClopenClass:
         for m in members:
             if len(m) != depth:
                 raise PreconditionError(f"member {m} has length {len(m)}, expected {depth}")
-            root = _insert(root, m.as_int, depth, depth)
+            root = _put(root, m.as_int, depth, depth, _FULL)
         return cls(depth, root)
 
     @classmethod
@@ -267,7 +269,7 @@ class ClopenClass:
         for p in prefixes:
             if len(p) > depth:
                 raise PreconditionError(f"cylinder {p} deeper than class depth {depth}")
-            root = _insert(root, p.as_int, len(p), depth)
+            root = _put(root, p.as_int, len(p), depth, _FULL)
         return cls(depth, root)
 
     # -- queries -------------------------------------------------------------
@@ -347,15 +349,19 @@ class ClopenClass:
             yield value, Dyadic(sub[2], height)
 
     def members(self) -> list[BitString]:
-        if self._n > (1 << 22):
-            raise PreconditionError(f"refusing to materialize {self._n} members")
-        return [BitString.from_int(v, self.depth) for v in _iter_prefix_values(self._root, self.depth)]
+        return [BitString.from_int(v, self.depth) for v in self._member_values()]
+
+    def _member_values(self) -> Iterator[int]:
+        """Member values in lexicographic order, refused above MEMBER_CAP members."""
+        if self._n > MEMBER_CAP:
+            raise PreconditionError(f"refusing to list a class of more than {MEMBER_CAP} members")
+        return _iter_prefix_values(self._root, self.depth)
 
     # -- algebra -------------------------------------------------------------
 
     def minus_cylinder(self, s: BitString) -> "ClopenClass":
         self._check_len(s)
-        return ClopenClass(self.depth, _remove(self._root, s.as_int, len(s), self.depth))
+        return ClopenClass(self.depth, _put(self._root, s.as_int, len(s), self.depth, _EMPTY))
 
     def part_below(self, s: BitString) -> "ClopenClass":
         """The class restricted to extensions of s (same depth)."""
@@ -466,21 +472,17 @@ def parse_class_text(text: str) -> ClopenClass:
         if v in seen:
             raise InputError(f"duplicate member at line {k}")
         seen.add(v)
-        root = _insert(root, v, depth, depth)
+        root = _put(root, v, depth, depth, _FULL)
     return ClopenClass(depth, root)
 
 
-def render_class_text(c: ClopenClass) -> str:
-    out = [f"depth {c.depth}"]
-    out.extend(str(m) for m in c.members())
-    return "\n".join(out) + "\n"
-
-
 def write_class_text(c: ClopenClass, fh) -> None:
-    """Streamed variant of render_class_text, usable at any member count."""
+    """Write c as a 'depth <d>' line and one member per line; refuse, before writing
+    any byte, a class of more than MEMBER_CAP members."""
+    values = c._member_values()
     fh.write(f"depth {c.depth}\n")
     width = c.depth
-    for v in _iter_prefix_values(c._root, c.depth):
+    for v in values:
         fh.write(format(v, f"0{width}b") + "\n" if width else "\n")
 
 
@@ -490,6 +492,7 @@ def load_class(path) -> ClopenClass:
 
 
 def save_class(c: ClopenClass, path) -> None:
+    c._member_values()  # refuse a capped class before the file is created
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         write_class_text(c, fh)
 
@@ -527,10 +530,6 @@ class PruneResult:
     trace: tuple[ActRecord, ...]
 
 
-def _coding_budget(sched: "Schedule", levels: int) -> Dyadic:
-    return dyadic_sum(Dyadic.pow2(sched.m(i) - sched.l(i)) for i in range(levels))
-
-
 def prune(P: ClopenClass, sched: "Schedule", levels: int) -> PruneResult:
     """Carve low-density cylinders out of P until every surviving block boundary is thick.
 
@@ -555,7 +554,7 @@ def prune(P: ClopenClass, sched: "Schedule", levels: int) -> PruneResult:
         raise PreconditionError(
             f"class depth {P.depth} is shallower than L({levels}) = {sched.L(levels)}"
         )
-    budget = _coding_budget(sched, levels)
+    budget = sched.budget(levels)
     if not budget < P.measure():
         raise PreconditionError(
             f"measure budget exhausted: partial sum {budget} >= measure {P.measure()}"

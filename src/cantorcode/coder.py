@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .bits import BitString, EMPTY, Dyadic
 from .clopen import ApproxSequence, ClopenClass, PruneResult, prune
 from .errors import InternalError, PreconditionError
-from .schedules import Schedule, convergence_margin
+from .schedules import Schedule
 
 __all__ = [
     "TableEvent",
@@ -57,15 +57,6 @@ class WordTable:
         return None
 
 
-def _level_of(sched: Schedule, length: int) -> int:
-    i = 0
-    while sched.L(i) < length:
-        i += 1
-    if sched.L(i) != length:
-        raise PreconditionError(f"string length {length} is not a block boundary L(i)")
-    return i
-
-
 def settle_words(
     P: ClopenClass,
     sched: Schedule,
@@ -80,7 +71,9 @@ def settle_words(
     which happens exactly when sigma has fewer than 2^(m_i) extendible
     extensions at the next boundary.
     """
-    level = _level_of(sched, len(sigma))
+    level = sched.block_index(len(sigma), code=True)
+    if sched.L(level) != len(sigma):
+        raise PreconditionError(f"string length {len(sigma)} is not a block boundary L(i)")
     width = sched.L(level + 1)
     if width > P.depth:
         raise PreconditionError(f"class depth {P.depth} shallower than L({level + 1}) = {width}")
@@ -168,7 +161,6 @@ class CodePath:
     source: BitString
     code: BitString
     slots: tuple[int, ...]
-    block_uses: tuple[int, ...]
 
 
 def encode(X: BitString, P: ClopenClass, sched: Schedule,
@@ -181,15 +173,13 @@ def encode(X: BitString, P: ClopenClass, sched: Schedule,
         session = CodingSession(P, sched)
     y = EMPTY
     slots: list[int] = []
-    uses: list[int] = []
     for i in range(n):
         block = X.slice(sched.M(i), sched.M(i + 1))
         table = session.word_table(y)
         t = block.as_int
         y = table.slots[t]
         slots.append(t)
-        uses.append(sched.L(i + 1))
-    return CodePath(X, y, tuple(slots), tuple(uses))
+    return CodePath(X, y, tuple(slots))
 
 
 class _Oracle:
@@ -257,17 +247,10 @@ class EndToEndResult:
 def end_to_end(X: BitString, P: ClopenClass, sched: Schedule) -> EndToEndResult:
     """Prune P for the needed levels, encode X against the result, verify by decoding."""
     n = sched.blocks_for_source(len(X))
-    if sched.L(n) > P.depth:
-        raise PreconditionError(f"class depth {P.depth} shallower than L({n}) = {sched.L(n)}")
-    margin, within = convergence_margin(sched, n, P.measure())
-    if not within:
-        raise PreconditionError(
-            f"measure budget exhausted: partial sum {margin} >= measure {P.measure()}"
-        )
-    pruned = prune(P, sched, n)
+    pruned = prune(P, sched, n)  # checks the class depth and the coding budget
     session = CodingSession(pruned.pstar, sched)
     path = encode(X, pruned.pstar, sched, session)
     back = decode(path.code, pruned.pstar, sched, n, session)
     if back.source != X:
         raise InternalError("decode of the fresh code word did not recover the source")
-    return EndToEndResult(pruned, path, back.use, margin)
+    return EndToEndResult(pruned, path, back.use, sched.budget(n))

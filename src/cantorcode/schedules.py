@@ -11,10 +11,11 @@ All ceil(2*log2(i+2)) values are computed by bit length, never by float log.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .bits import Dyadic, dyadic_sum
+from .bits import ZERO, Dyadic
 from .errors import InputError, PreconditionError
 
 __all__ = [
@@ -54,6 +55,7 @@ class Schedule:
         self.length = length  # None means unbounded (presets)
         self._msums = [0]
         self._lsums = [0]
+        self._budgets = [ZERO]
 
     def _check_index(self, i: int) -> None:
         if i < 0:
@@ -77,29 +79,40 @@ class Schedule:
 
     def M(self, n: int) -> int:
         """Source bits coded after n blocks."""
-        while len(self._msums) <= n:
-            k = len(self._msums) - 1
-            self._msums.append(self._msums[-1] + self.m(k))
-        return self._msums[n]
+        return _prefix_sum(self._msums, self.m, n)
 
     def L(self, n: int) -> int:
         """Code bits consumed after n blocks."""
-        while len(self._lsums) <= n:
-            k = len(self._lsums) - 1
-            self._lsums.append(self._lsums[-1] + self.l(k))
-        return self._lsums[n]
+        return _prefix_sum(self._lsums, self.l, n)
+
+    def budget(self, n: int) -> Dyadic:
+        """Coding budget of the first n blocks: the exact sum of 2^(m_i - l_i) over i < n."""
+        return _prefix_sum(self._budgets, lambda i: Dyadic.pow2(self.m(i) - self.l(i)), n)
+
+    def block_index(self, bits: int, code: bool = False) -> int:
+        """Least n with M(n) >= bits (L(n) >= bits if `code`), bisecting the cached sums."""
+        sums, boundary = (self._lsums, self.L) if code else (self._msums, self.M)
+        while sums[-1] < bits:
+            boundary(len(sums))
+        return bisect_left(sums, bits)
 
     def blocks_for_source(self, bits: int) -> int:
         """n with M(n) == bits, or an error when bits is not a block boundary."""
-        n = 0
-        while self.M(n) < bits:
-            n += 1
+        n = self.block_index(bits)
         if self.M(n) != bits:
             raise PreconditionError(f"source length must equal M(n): {bits} is not a boundary")
         return n
 
     def __repr__(self) -> str:
         return f"Schedule({self.name!r})"
+
+
+def _prefix_sum(sums: list, term: Callable[[int], object], n: int):
+    """sums[n], extending the cached prefix sums with term(k) as far as needed."""
+    while len(sums) <= n:
+        k = len(sums) - 1
+        sums.append(sums[-1] + term(k))
+    return sums[n]
 
 
 def preset(name: str, m: list[int] | None = None, l: list[int] | None = None) -> Schedule:
@@ -151,7 +164,7 @@ def parse_schedule_spec(spec: str) -> Schedule:
 
 def convergence_margin(s: Schedule, k: int, budget: Dyadic) -> tuple[Dyadic, bool]:
     """Exact partial sum of 2^(m_i - l_i) over i < k, and whether it is under budget."""
-    partial = dyadic_sum(Dyadic.pow2(s.m(i) - s.l(i)) for i in range(k))
+    partial = s.budget(k)
     return partial, partial < budget
 
 
@@ -159,10 +172,7 @@ def oracle_use_bound(s: Schedule, n: int) -> int:
     """Code prefix length needed for source bit index n: L(t+1) where M(t) <= n < M(t+1)."""
     if n < 0:
         raise PreconditionError(f"negative bit index {n}")
-    t = 0
-    while s.M(t + 1) <= n:
-        t += 1
-    return s.L(t + 1)
+    return s.L(s.block_index(n + 1))
 
 
 @dataclass(frozen=True)
@@ -195,15 +205,8 @@ def redundancy_report(s: Schedule, n_max: int) -> RedundancyReport:
     overheads.  Partial budget sums are attached for the blocks the table spans.
     """
     rows = []
-    t = 0
     for n in range(1, n_max + 1):
-        while s.M(t + 1) <= n - 1:
-            t += 1
-        use = s.L(t + 1)
+        use = oracle_use_bound(s, n - 1)
         rows.append((n, use, use - n))
-    sums: list[Dyadic] = []
-    running = Dyadic(0)
-    for i in range(t + 1):
-        running = running + Dyadic.pow2(s.m(i) - s.l(i))
-        sums.append(running)
-    return RedundancyReport(s.name, tuple(rows), tuple(sums))
+    sums = tuple(s.budget(k) for k in range(1, s.block_index(n_max) + 1))
+    return RedundancyReport(s.name, tuple(rows), sums)

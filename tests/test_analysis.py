@@ -8,7 +8,6 @@ from cantorcode.analysis import (
     density_threshold_experiment,
     left_sets,
     left_sets_for_levels,
-    leftmost_extendible,
     random_vt_instance,
     truncate_class,
     vt_construction,
@@ -27,19 +26,19 @@ def cls(depth: int, *members: str) -> ClopenClass:
 
 class TestLeftmostAndLeftSets:
     def test_leftmost_examples(self):
-        assert leftmost_extendible(ClopenClass.full(4), 2) == B("00")
-        assert leftmost_extendible(cls(2, "10", "11"), 1) == B("1")
+        assert ClopenClass.full(4).leftmost(2) == B("00")
+        assert cls(2, "10", "11").leftmost(1) == B("1")
 
     def test_leftmost_of_empty_rejected(self):
         with pytest.raises(PreconditionError, match="empty class"):
-            leftmost_extendible(ClopenClass.empty(3), 1)
+            ClopenClass.empty(3).leftmost(1)
 
     def test_leftmost_is_prefix_chain_on_pruned_class(self):
         sched = preset("kucera")
         pstar = prune(random_class(13, 3, Dyadic(1, 1)), sched, 3).pstar
         path = pstar.leftmost(pstar.depth)
         for i in range(pstar.depth + 1):
-            assert leftmost_extendible(pstar, i) == path.prefix(i)
+            assert pstar.leftmost(i) == path.prefix(i)
 
     def test_left_sets_examples(self):
         u1 = left_sets(cls(2, "10", "11"), 1)

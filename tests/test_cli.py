@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -135,6 +136,87 @@ class TestBadNumbers:
                    "--levels", "1") == 2
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: class depth must be non-negative, got -3"]
+
+
+class TestDeepAndLargeClasses:
+    def test_prune_refuses_to_list_a_capped_class(self, workdir, capsys):
+        # 2^23 members, above the 2^22 listing cap: refused before any output
+        assert run("prune", "--class", "full:23", "--schedule", "kucera", "--levels", "2") == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "4194304" in err
+        target = workdir / "pstar.txt"
+        assert run("prune", "--class", "full:23", "--schedule", "kucera", "--levels", "2",
+                   "--out", str(target)) == 3
+        assert not target.exists()
+
+    def test_verify_depth_3000_class(self, capsys):
+        assert run("verify", "--class", "seeded:3000:1", "--schedule", "kucera",
+                   "--levels", "2") == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "extension-property PASS", "density-property PASS"]
+
+    def test_prune_depth_3000_class_hits_the_cap(self, capsys):
+        assert run("prune", "--class", "seeded:3000:1", "--schedule", "kucera",
+                   "--levels", "2") == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "4194304" in err
+
+
+def _thin_class_text() -> str:
+    """Depth-10 class in which the cylinders of 011 and 1101 keep 1 and 2 members."""
+    lines = ["depth 10"]
+    for v in range(1 << 10):
+        w = format(v, "010b")
+        if w.startswith("011") and w != "0110100101":
+            continue
+        if w.startswith("1101") and w not in ("1101000011", "1101111111"):
+            continue
+        lines.append(w)
+    return "\n".join(lines) + "\n"
+
+
+class TestGoldenDigests:
+    """sha256 of CLI artifacts, pinned so that a refactor cannot move their bytes."""
+
+    GOLDEN = {
+        "code.txt": "ece08d1c942c508929edfa416278777a0d49a6e04471704c9dfb966462ef7ec9",
+        "code.txt.use.csv": "481d4286c01f6c383f960e69662b0797b5d4c560c0a9a8ccafb6215bd6973a4b",
+        "recovered.txt": "136712be50948e2e85058a97c177220c977adbe01130b9426c713247b5f7d22d",
+        "pruned.txt": "9347978033dd98d976c47d3b07752740749880e74c91f429c6837f9feae39576",
+        "kucera.csv": "57e3e5cb99903eadcb4d6b1049a3d7e047fbca3328d4e4bd2e05785a250eaa58",
+        "gacs.csv": "8ed1b8a2ec1724228ec9792ea4567a937b7b5e564bef3a6374edfe401d004cdb",
+        "chain.csv": "37c71fb28deba3e9b402506e6a01bea31c5554c1bb6cf1d5fa062e9cd9fe34f2",
+        "density.csv": "deeb31a7d675c962e6098915688fff6af9dfb58449b5b0dd376a60b6fdc1969c",
+    }
+
+    def test_artifacts_match_pinned_digests(self, workdir):
+        def p(name):
+            return str(workdir / name)
+
+        (workdir / "source.txt").write_text("10110\n")  # 5 bits, padded to gacs M(3) = 6
+        (workdir / "thin.txt").write_text(_thin_class_text())
+        commands = [
+            ("encode", "--class", "seeded:20:5", "--schedule", "gacs",
+             "--source", p("source.txt"), "--out", p("code.txt")),
+            ("decode", "--class", "seeded:20:5", "--schedule", "gacs",
+             "--code", p("code.txt"), "--out", p("recovered.txt")),
+            ("prune", "--class", p("thin.txt"), "--schedule", "kucera", "--levels", "2",
+             "--out", p("pruned.txt")),
+            ("report", "--schedule", "kucera", "--n-max", "300", "--out", p("kucera.csv")),
+            ("report", "--schedule", "gacs", "--n-max", "300", "--out", p("gacs.csv")),
+            ("vt-run", "--seed", "3", "--t-max", "3", "--out", p("chain.csv")),
+            ("vt-run", "--mode", "density", "--class", "seeded:20:5", "--schedule", "kucera",
+             "--levels", "3", "--out", p("density.csv")),
+        ]
+        for argv in commands:
+            assert run(*argv) == 0, argv
+        digests = {name: hashlib.sha256((workdir / name).read_bytes()).hexdigest()
+                   for name in self.GOLDEN}
+        assert digests == self.GOLDEN
 
 
 class TestTreeCommands:

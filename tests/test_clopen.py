@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,9 +14,9 @@ from cantorcode.clopen import (
     parse_class_text,
     prune,
     random_class,
-    render_class_text,
     verify_density_property,
     verify_extension_property,
+    write_class_text,
 )
 from cantorcode.errors import InputError, PreconditionError
 from cantorcode.schedules import preset
@@ -139,10 +141,34 @@ class TestCountInvariant:
             assert recount(c._root, depth) == c.member_count == len(c.members())
 
 
+class TestDeepClasses:
+    """Trie writes are loops: classes thousands of levels deep stay usable."""
+
+    DEPTH = 5000
+
+    def test_from_cylinders_at_depth_5000(self):
+        deep = B("01" * (self.DEPTH // 2))
+        c = ClopenClass.from_cylinders(self.DEPTH, [deep, B("1"), deep.prefix(3000)])
+        assert c.member_count == (1 << (self.DEPTH - 1)) + (1 << 2000)
+        assert c.is_extendible(deep) and not c.is_extendible(B("00"))
+        assert c.density(deep.prefix(3000)) == ONE
+
+    def test_minus_cylinder_at_depth_5000(self):
+        deep = B("10" * (self.DEPTH // 2))
+        c = ClopenClass.full(self.DEPTH).minus_cylinder(deep)
+        assert c.member_count == (1 << self.DEPTH) - 1
+        assert not c.is_extendible(deep) and c.is_extendible(deep.prefix(self.DEPTH - 1))
+        c = c.minus_cylinder(deep.prefix(1))
+        assert c.member_count == (1 << (self.DEPTH - 1))
+        assert c.minus_cylinder(B("0")).is_empty()
+
+
 class TestFileFormat:
     def test_roundtrip(self):
         c = cls(3, "000", "101", "110")
-        assert parse_class_text(render_class_text(c)) == c
+        out = io.StringIO()
+        write_class_text(c, out)
+        assert parse_class_text(out.getvalue()) == c
 
     def test_wrong_length_line(self):
         with pytest.raises(InputError, match="wrong-length member at line 3"):

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantorcode.bits import Dyadic, ONE
 from cantorcode.errors import InputError, PreconditionError
@@ -153,3 +155,72 @@ class TestRedundancyReport:
         rep = redundancy_report(preset("kucera"), 10)
         assert rep.partial_sums[0] == Dyadic(1, 2)
         assert all(a <= b for a, b in zip(rep.partial_sums, rep.partial_sums[1:]))
+
+
+@st.composite
+def custom_lists(draw):
+    m = draw(st.lists(st.integers(1, 4), min_size=1, max_size=7))
+    l = [mi + draw(st.integers(0, 4)) for mi in m]
+    return m, l
+
+
+class TestNaiveShadow:
+    """Block index, use bound, report rows and budget sums against plain loops."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(custom_lists(), st.data())
+    def test_single_definitions_match_plain_loops(self, ml, data):
+        m, l = ml
+        k = len(m)
+        M = [sum(m[:i]) for i in range(k + 1)]
+        L = [sum(l[:i]) for i in range(k + 1)]
+
+        def plain_budget(n):
+            return sum((Fraction(1, 2 ** (l[i] - m[i])) for i in range(n)), Fraction(0))
+
+        def as_fraction(d):
+            return Fraction(d.num, 2 ** d.exp)
+
+        def plain_use(bit):
+            t = 0
+            while M[t + 1] <= bit:
+                t += 1
+            return L[t + 1]
+
+        s = preset("custom", m, l)
+        # bits = 0, every boundary M(n) exactly, between boundaries, and past the end;
+        # drawn in any order, so the cached sums are grown from any starting state
+        bits_queries = data.draw(st.permutations(range(M[-1] + 3)), label="bits")
+        for bits in bits_queries:
+            if bits > M[-1]:
+                with pytest.raises(PreconditionError, match="beyond explicit schedule"):
+                    s.blocks_for_source(bits)
+            elif bits in M:
+                assert s.blocks_for_source(bits) == M.index(bits)
+            else:
+                with pytest.raises(PreconditionError, match="not a boundary"):
+                    s.blocks_for_source(bits)
+            if bits >= M[-1]:
+                with pytest.raises(PreconditionError, match="beyond explicit schedule"):
+                    oracle_use_bound(s, bits)
+            else:
+                assert oracle_use_bound(s, bits) == plain_use(bits)
+
+        for n in range(k + 2):
+            if n > k:
+                with pytest.raises(PreconditionError, match="beyond explicit schedule"):
+                    convergence_margin(s, n, ONE)
+                continue
+            partial, within = convergence_margin(s, n, ONE)
+            assert as_fraction(partial) == plain_budget(n)
+            assert within == (plain_budget(n) < 1)
+
+        n_max = data.draw(st.integers(1, M[-1]), label="n_max")
+        rep = redundancy_report(preset("custom", m, l), n_max)
+        assert rep.rows == tuple((n, plain_use(n - 1), plain_use(n - 1) - n)
+                                 for n in range(1, n_max + 1))
+        last_block = next(t for t in range(k) if M[t + 1] >= n_max)
+        assert [as_fraction(d) for d in rep.partial_sums] == [
+            plain_budget(t + 1) for t in range(last_block + 1)]
+        with pytest.raises(PreconditionError, match="beyond explicit schedule"):
+            redundancy_report(preset("custom", m, l), M[-1] + 1)
