@@ -14,7 +14,6 @@ from .clopen import (
 )
 from .coder import (
     CodePath,
-    CodingSession,
     DecodeResult,
     EndToEndResult,
     WordTable,

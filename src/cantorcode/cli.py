@@ -75,6 +75,8 @@ def _read_source(path: str) -> BitString:
             value, bits = int(digits, 16), int(count)
         except ValueError:
             raise InputError("hex source must be 'hex <digits> <bitcount>'") from None
+        if value < 0 or bits < 0:
+            raise InputError(f"hex value and bit count must be non-negative, got {digits} {count}")
         if value >> bits:
             raise InputError(f"hex value needs more than {bits} bits")
         return BitString.from_int(value, bits)
@@ -409,10 +411,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as e:
+    except (InputError, OSError, UnicodeDecodeError) as e:  # inputs are read as UTF-8
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except PreconditionError as e:

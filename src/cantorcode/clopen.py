@@ -158,29 +158,21 @@ def _subset(a, b) -> bool:
     return _subset(a[0], b[0]) and _subset(a[1], b[1])
 
 
-def _leftmost(node, depth: int) -> int:
-    if node is _EMPTY:
-        raise InternalError("leftmost of empty trie")
-    if node is _FULL:
-        return 0
-    if node[0] is not _EMPTY:
-        return _leftmost(node[0], depth - 1)
-    return (1 << (depth - 1)) | _leftmost(node[1], depth - 1)
-
-
 def _iter_prefix_values(node, length: int, acc: int = 0) -> Iterator[int]:
     """All extendible prefixes of the given length, in lexicographic order."""
-    if node is _EMPTY:
-        return
-    if length == 0:
-        yield acc
-        return
-    if node is _FULL:
-        base = acc << length
-        yield from range(base, base + (1 << length))
-        return
-    yield from _iter_prefix_values(node[0], length - 1, acc << 1)
-    yield from _iter_prefix_values(node[1], length - 1, (acc << 1) | 1)
+    stack = [(node, length, acc)]
+    while stack:
+        node, rest, acc = stack.pop()
+        if node is _EMPTY:
+            continue
+        if rest == 0:
+            yield acc
+        elif node is _FULL:
+            base = acc << rest
+            yield from range(base, base + (1 << rest))
+        else:
+            stack.append((node[1], rest - 1, (acc << 1) | 1))
+            stack.append((node[0], rest - 1, acc << 1))
 
 
 def _iter_mixed(node, length: int, start: int = 0) -> Iterator[tuple[int, tuple]]:
@@ -312,6 +304,23 @@ class ClopenClass:
         sub = _at(self._root, s.as_int, len(s))
         return _ext_count(sub, length - len(s))
 
+    def extension_rank(self, s: BitString, w: BitString) -> int:
+        """Number of extendible len(w)-bit extensions of s that sort before w: one walk
+        down w's path below s, adding the left sibling's extendible count at each 1-bit."""
+        self._check_len(w)
+        if not s.is_prefix_of(w):
+            raise PreconditionError(f"{w} does not extend {s}")
+        node = _at(self._root, s.as_int, len(s))
+        value, rank = w.as_int, 0
+        for rest in range(len(w) - len(s) - 1, -1, -1):
+            left, right = _split(node)
+            if (value >> rest) & 1:
+                rank += _ext_count(left, rest)
+                node = right
+            else:
+                node = left
+        return rank
+
     def extendible_strings(self, length: int) -> Iterator[BitString]:
         """All extendible words of the given length, lexicographically."""
         if not 0 <= length <= self.depth:
@@ -332,9 +341,7 @@ class ClopenClass:
         """Lexicographically least extendible word of the given length."""
         if self.is_empty():
             raise PreconditionError("empty class has no extendible strings")
-        if not 0 <= length <= self.depth:
-            raise PreconditionError("string deeper than class approximation")
-        return BitString.from_int(_leftmost(self._root, self.depth) >> (self.depth - length), length)
+        return next(self.extendible_strings(length))
 
     def mixed_densities(self, length: int) -> Iterator[tuple[int, Dyadic]]:
         """(prefix value, density) of each length-`length` prefix whose cylinder the

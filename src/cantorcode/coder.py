@@ -8,8 +8,8 @@ approximation; against a fixed class the fixpoint is simply the 2^(m_i)
 lexicographically least extendible extensions in slot order.
 
 Encoding maps source block number j to slot j's word; decoding inverts this by
-searching the settled table for the slot whose word prefixes the oracle, and
-records exactly how much oracle it consulted per bit.
+ranking the oracle's block among the extendible extensions of sigma (slot j
+holds the j-th least), and records exactly how much oracle it consulted per bit.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "CodePath",
     "DecodeResult",
     "EndToEndResult",
-    "CodingSession",
     "settle_words",
     "encode",
     "decode",
@@ -48,13 +47,7 @@ class WordTable:
     sigma: BitString
     level: int
     slots: tuple[BitString, ...]
-    history: tuple[TableEvent, ...]
-
-    def slot_of(self, word: BitString) -> int | None:
-        for j, w in enumerate(self.slots):
-            if w == word:
-                return j
-        return None
+    history: tuple[TableEvent, ...]  # empty for a fixed class
 
 
 def settle_words(
@@ -67,9 +60,9 @@ def settle_words(
 
     With `stages` supplied, assignments are made against the stage current at
     each step and slots are cleared when their word loses all extensions; the
-    final stage must equal P.  Raises when the fixpoint leaves a slot open,
-    which happens exactly when sigma has fewer than 2^(m_i) extendible
-    extensions at the next boundary.
+    final stage must equal P; only such a staged run records a history.  Raises
+    when the fixpoint leaves a slot open, which happens exactly when sigma has
+    fewer than 2^(m_i) extendible extensions at the next boundary.
     """
     level = sched.block_index(len(sigma), code=True)
     if sched.L(level) != len(sigma):
@@ -87,10 +80,9 @@ def settle_words(
     history: list[TableEvent] = []
     if stages is None:
         # Against a fixed class nothing is ever cleared, so the fixpoint is the
-        # first 2^(m_i) extendible extensions assigned to slots in order.
+        # first 2^(m_i) extendible extensions in slot order.
         for slot, cand in zip(range(nslots), P.extendible_extensions(sigma, width)):
             words[slot] = cand
-            history.append(TableEvent(slot + 1, slot, "assign", cand))
         return _freeze(P, sigma, level, words, history)
     step = 1
     while True:
@@ -138,22 +130,6 @@ def _freeze(P: ClopenClass, sigma: BitString, level: int,
     return WordTable(sigma, level, slots, tuple(history))
 
 
-class CodingSession:
-    """Word tables memoized per (class, schedule); safe to reuse across calls."""
-
-    def __init__(self, P: ClopenClass, sched: Schedule):
-        self.P = P
-        self.sched = sched
-        self._tables: dict[BitString, WordTable] = {}
-
-    def word_table(self, sigma: BitString) -> WordTable:
-        table = self._tables.get(sigma)
-        if table is None:
-            table = settle_words(self.P, self.sched, sigma)
-            self._tables[sigma] = table
-        return table
-
-
 @dataclass(frozen=True)
 class CodePath:
     """A source prefix, its code word, and the slot chosen at each block."""
@@ -163,21 +139,16 @@ class CodePath:
     slots: tuple[int, ...]
 
 
-def encode(X: BitString, P: ClopenClass, sched: Schedule,
-           session: CodingSession | None = None) -> CodePath:
+def encode(X: BitString, P: ClopenClass, sched: Schedule) -> CodePath:
     """Build the code word for X block by block; X must end on a block boundary."""
     n = sched.blocks_for_source(len(X))
     if sched.L(n) > P.depth:
         raise PreconditionError(f"class depth {P.depth} shallower than L({n}) = {sched.L(n)}")
-    if session is None:
-        session = CodingSession(P, sched)
     y = EMPTY
     slots: list[int] = []
     for i in range(n):
-        block = X.slice(sched.M(i), sched.M(i + 1))
-        table = session.word_table(y)
-        t = block.as_int
-        y = table.slots[t]
+        t = X.slice(sched.M(i), sched.M(i + 1)).as_int
+        y = settle_words(P, sched, y).slots[t]
         slots.append(t)
     return CodePath(X, y, tuple(slots))
 
@@ -204,29 +175,28 @@ class DecodeResult:
     slots: tuple[int, ...]
 
 
-def decode(Y: BitString, P: ClopenClass, sched: Schedule, n: int,
-           session: CodingSession | None = None) -> DecodeResult:
-    """Invert the coding map on the first n blocks of Y.
+def decode(Y: BitString, P: ClopenClass, sched: Schedule, n: int) -> DecodeResult:
+    """Invert the coding map on the first n blocks of Y, by rank on P's trie.
 
     The oracle is consulted through a tracker, so the returned per-bit use is
     measured, not assumed; only the prefix of length L(n) is ever touched.
     """
     if len(Y) < sched.L(n):
         raise PreconditionError(f"oracle too short: {len(Y)} < L({n}) = {sched.L(n)}")
-    if session is None:
-        session = CodingSession(P, sched)
+    if sched.L(n) > P.depth:
+        raise PreconditionError(f"class depth {P.depth} shallower than L({n}) = {sched.L(n)}")
     oracle = _Oracle(Y)
     x = EMPTY
     uses: list[int] = []
     slots: list[int] = []
     for i in range(n):
         sigma = oracle.prefix(sched.L(i))
-        if not P.is_extendible(sigma):
-            raise PreconditionError("oracle outside code tree")
-        table = session.word_table(sigma)
-        target = oracle.prefix(sched.L(i + 1))
-        j = table.slot_of(target)
-        if j is None:
+        width, nslots = sched.L(i + 1), 1 << sched.m(i)
+        if P.extension_count(sigma, width) < nslots:
+            raise PreconditionError(f"extension property violated at {sigma or 'the root'}")
+        target = oracle.prefix(width)
+        j = P.extension_rank(sigma, target)
+        if j >= nslots or not P.is_extendible(target):
             raise PreconditionError("oracle outside code tree")
         x = x + BitString.from_int(j, sched.m(i))
         slots.append(j)
@@ -248,9 +218,8 @@ def end_to_end(X: BitString, P: ClopenClass, sched: Schedule) -> EndToEndResult:
     """Prune P for the needed levels, encode X against the result, verify by decoding."""
     n = sched.blocks_for_source(len(X))
     pruned = prune(P, sched, n)  # checks the class depth and the coding budget
-    session = CodingSession(pruned.pstar, sched)
-    path = encode(X, pruned.pstar, sched, session)
-    back = decode(path.code, pruned.pstar, sched, n, session)
+    path = encode(X, pruned.pstar, sched)
+    back = decode(path.code, pruned.pstar, sched, n)
     if back.source != X:
         raise InternalError("decode of the fresh code word did not recover the source")
     return EndToEndResult(pruned, path, back.use, sched.budget(n))

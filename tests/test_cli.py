@@ -137,6 +137,32 @@ class TestBadNumbers:
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: class depth must be non-negative, got -3"]
 
+    @pytest.mark.parametrize("line", ["hex ff -3", "hex -ff 8"])
+    def test_negative_hex_exit_2(self, workdir, capsys, line):
+        src = workdir / "source.txt"
+        src.write_text(line + "\n")
+        assert run("encode", "--class", "full:16", "--schedule", "gacs",
+                   "--source", str(src)) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: hex value and bit count must be non-negative, got {line[4:]}"]
+
+    @pytest.mark.parametrize("role", ["class", "tree", "source", "code"])
+    def test_non_utf8_file_exit_2(self, workdir, capsys, role):
+        bad = workdir / "bad.txt"
+        bad.write_bytes(b"depth 2\n\xff\xfe\n")
+        src = workdir / "source.txt"
+        src.write_text("0\n")
+        argv = {
+            "class": ("encode", "--class", str(bad), "--schedule", "kucera", "--source", str(src)),
+            "tree": ("label", "--tree", str(bad)),
+            "source": ("encode", "--class", "full:16", "--schedule", "gacs", "--source", str(bad)),
+            "code": ("decode", "--class", "full:16", "--schedule", "gacs", "--code", str(bad)),
+        }[role]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: 'utf-8' codec can't decode")
+
 
 class TestDeepAndLargeClasses:
     def test_prune_refuses_to_list_a_capped_class(self, workdir, capsys):

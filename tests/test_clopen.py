@@ -83,6 +83,26 @@ class TestMeasureAndMembership:
         assert c.extension_count(B("01"), 3) == 2
         assert c.extension_count(B("1"), 2) == 1
 
+    def test_extension_rank_examples(self):
+        c = cls(3, "010", "011", "110")
+        assert [c.extension_rank(B(""), B(w)) for w in ("010", "011", "110", "111")] == [0, 1, 2, 3]
+        assert c.extension_rank(B("01"), B("011")) == 1
+        assert c.extension_rank(B(""), B("00")) == 0  # not extendible: nothing sorts before it
+        with pytest.raises(PreconditionError, match="does not extend"):
+            c.extension_rank(B("1"), B("011"))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_extension_rank_matches_naive_count(self, data):
+        depth = data.draw(st.integers(0, 7), label="depth")
+        words = st.integers(0, (1 << depth) - 1).map(lambda v: B.from_int(v, depth))
+        c = ClopenClass.from_members(depth, data.draw(st.sets(words, max_size=40)))
+        length = data.draw(st.integers(0, depth), label="length")
+        w = B.from_int(data.draw(st.integers(0, (1 << length) - 1)), length)
+        s = w.prefix(data.draw(st.integers(0, length), label="prefix"))
+        below = {u.prefix(length) for u in c.members() if s.is_prefix_of(u) and u.prefix(length) < w}
+        assert c.extension_rank(s, w) == len(below)
+
     def test_keep_leftmost(self):
         c = ClopenClass.full(3)
         assert c.keep_leftmost(3) == cls(3, "000", "001", "010")
@@ -142,7 +162,7 @@ class TestCountInvariant:
 
 
 class TestDeepClasses:
-    """Trie writes are loops: classes thousands of levels deep stay usable."""
+    """Trie writes and listings are loops: classes thousands of levels deep stay usable."""
 
     DEPTH = 5000
 
@@ -152,6 +172,16 @@ class TestDeepClasses:
         assert c.member_count == (1 << (self.DEPTH - 1)) + (1 << 2000)
         assert c.is_extendible(deep) and not c.is_extendible(B("00"))
         assert c.density(deep.prefix(3000)) == ONE
+
+    def test_leftmost_members_and_strings_at_depth_3000(self):
+        path = B("01" * 1500)
+        c = ClopenClass.from_cylinders(3000, [path])
+        assert c.leftmost(3000) == path
+        assert c.leftmost(1700) == path.prefix(1700)
+        assert c.members() == [path]
+        assert list(c.extendible_strings(3000)) == [path]
+        assert list(c.extendible_extensions(path.prefix(10), 2999)) == [path.prefix(2999)]
+        assert c.extension_rank(B(""), path) == 0
 
     def test_minus_cylinder_at_depth_5000(self):
         deep = B("10" * (self.DEPTH // 2))

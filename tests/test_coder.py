@@ -5,11 +5,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantorcode.bits import BitString, Dyadic, EMPTY
 from cantorcode.clopen import ApproxSequence, ClopenClass, random_class
 from cantorcode.coder import (
-    CodingSession,
     decode,
     encode,
     end_to_end,
@@ -62,9 +62,9 @@ class TestSettleWords:
         ]
 
     def test_history_recorded_for_static_run(self):
+        # a fixed class has no stages, so there is no history to record
         table = settle_words(ClopenClass.full(2), ONE_BLOCK, EMPTY)
-        assert [e.op for e in table.history] == ["assign", "assign"]
-        assert [e.stage for e in table.history] == [1, 2]
+        assert table.history == ()
 
 
 class TestEncode:
@@ -124,22 +124,20 @@ class TestDecode:
         n = 3  # M(3) = 3 source bits, L(3) = 13
         for seed in range(25):
             p = random_class(13, seed, Dyadic(1, 1))
-            session = CodingSession(p, sched)
             for v in range(8):
                 x = B.from_int(v, 3)
-                y = encode(x, p, sched, session).code
-                back = decode(y, p, sched, n, session)
+                y = encode(x, p, sched).code
+                back = decode(y, p, sched, n)
                 assert back.source == x
 
     def test_consistency_on_shared_prefixes(self):
         sched = preset("kucera")
         p = ClopenClass.full(13)
-        session = CodingSession(p, sched)
-        y1 = encode(B("010"), p, sched, session).code
-        y2 = encode(B("011"), p, sched, session).code
+        y1 = encode(B("010"), p, sched).code
+        y2 = encode(B("011"), p, sched).code
         assert y1.prefix(sched.L(2)) == y2.prefix(sched.L(2))
-        d1 = decode(y1, p, sched, 2, session)
-        d2 = decode(y2, p, sched, 2, session)
+        d1 = decode(y1, p, sched, 2)
+        d2 = decode(y2, p, sched, 2)
         assert d1.source == d2.source == B("01")
 
     def test_use_profile_is_exact(self):
@@ -147,7 +145,7 @@ class TestDecode:
         n = 3  # M(3) = 6, L(3) = 16
         p = ClopenClass.full(16)
         x = B("110100")
-        y = encode(x, p, sched, CodingSession(p, sched)).code
+        y = encode(x, p, sched).code
         result = decode(y, p, sched, n)
         assert result.source == x
         for k, used in enumerate(result.use):
@@ -156,6 +154,48 @@ class TestDecode:
     def test_short_oracle_rejected(self):
         with pytest.raises(PreconditionError, match="oracle too short"):
             decode(B("0"), ClopenClass.full(2), ONE_BLOCK, 1)
+
+    def test_shallow_class_rejected(self):
+        with pytest.raises(PreconditionError, match="class depth 1 shallower than L"):
+            decode(B("00"), ClopenClass.full(1), ONE_BLOCK, 1)
+
+    def test_extension_property_violated_at_boundary(self):
+        # "1" is extendible at L(1) = 2 but has one extension at L(2) = 4, not 2^m = 2
+        sched = preset("custom", [1, 1], [2, 2])
+        p = cls(4, "0000", "0001", "1000")
+        assert decode(B("0000"), p, sched, 1).source == B("0")
+        with pytest.raises(PreconditionError, match="extension property violated at 10"):
+            decode(B("1000"), p, sched, 2)
+
+
+class TestRank:
+    """Decoding ranks the oracle's block among the extendible extensions; on a fixed
+    class that rank is the slot the settled table gives the word."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_rank_is_slot_index(self, data):
+        depth = data.draw(st.integers(1, 7), label="depth")
+        l = data.draw(st.integers(1, depth), label="l")
+        m = data.draw(st.integers(1, l), label="m")
+        words = st.integers(0, (1 << depth) - 1).map(lambda v: B.from_int(v, depth))
+        p = ClopenClass.from_members(depth, data.draw(st.sets(words, min_size=1, max_size=40), label="members"))
+        sched = preset("custom", [m], [l])
+        if p.extension_count(EMPTY, l) < 1 << m:
+            with pytest.raises(PreconditionError, match="extension property violated"):
+                settle_words(p, sched, EMPTY)
+            with pytest.raises(PreconditionError, match="extension property violated"):
+                decode(B.from_int(0, l), p, sched, 1)
+            return
+        slots = settle_words(p, sched, EMPTY).slots
+        for j, w in enumerate(slots):
+            assert p.extension_rank(EMPTY, w) == j
+            assert decode(w, p, sched, 1).slots == (j,)
+        for w in p.extendible_strings(l):
+            if w not in slots:
+                assert p.extension_rank(EMPTY, w) >= 1 << m
+                with pytest.raises(PreconditionError, match="oracle outside code tree"):
+                    decode(w, p, sched, 1)
 
 
 class TestEndToEnd:
