@@ -45,12 +45,7 @@ def left_sets(P: ClopenClass, i: int) -> ClopenClass:
     so the intersection measure is at most 2^-i; that bound is re-checked
     exactly here rather than assumed.
     """
-    star = P.leftmost(i)
-    prefixes = [star]
-    for p in range(i):
-        if star[p] == 1:
-            prefixes.append(star.prefix(p).append(0))
-    u = ClopenClass.from_cylinders(i, prefixes)
+    u = ClopenClass.full(i).keep_leftmost(P.leftmost(i).as_int + 1)
     meet = _meet_measure(P, u)
     if meet > Dyadic.pow2(-i) and i > 0:
         raise InternalError(f"left set at length {i} meets the class with measure {meet}")
@@ -189,10 +184,10 @@ def density_threshold_experiment(
     if P.is_empty():
         raise PreconditionError("empty class")
     rows = []
-    for i, length in enumerate(lengths):
+    for i, (length, densities) in enumerate(zip(lengths, P.mixed_densities(lengths))):
         # full regions have density 1, so only mixed prefixes can set the minimum
         best, arg = ONE, P.leftmost(length)
-        for value, d in P.mixed_densities(length):
+        for value, d in densities:
             if d < best:
                 best, arg = d, BitString.from_int(value, length)
         thr = Dyadic.pow2(-g(i))

@@ -29,6 +29,7 @@ from .coder import decode, end_to_end
 from .errors import InputError, InternalError, PreconditionError
 from .fixtures import fixture_trees
 from .labeltree import (
+    BRUTE_FORCE_HEIGHT_CAP,
     is_fully_labelable_bruteforce,
     load_tree,
     measure_condition_check,
@@ -48,20 +49,21 @@ EXIT_INTERNAL = 4
 
 def _load_class_spec(spec: str) -> ClopenClass:
     """A class file path, or 'full:<depth>', or 'seeded:<depth>:<seed>[:<removals>]'."""
-    if spec.startswith("full:"):
-        try:
-            return ClopenClass.full(int(spec.split(":")[1]))
-        except (IndexError, ValueError):
-            raise InputError(f"bad class spec {spec!r}") from None
-    if spec.startswith("seeded:"):
-        parts = spec.split(":")
-        try:
-            depth, seed = int(parts[1]), int(parts[2])
-            removals = int(parts[3]) if len(parts) > 3 else 24
-        except (IndexError, ValueError):
-            raise InputError(f"bad class spec {spec!r}") from None
-        return random_class(depth, seed, Dyadic(1, 1), removals)
-    return load_class(spec)
+    if not spec.startswith(("full:", "seeded:")):
+        return load_class(spec)
+    kind, *fields = spec.split(":")
+    try:
+        numbers = [int(f) for f in fields]
+    except ValueError:
+        numbers = []
+    if kind == "full" and len(numbers) == 1 and numbers[0] >= 0:
+        return ClopenClass.full(numbers[0])
+    if kind == "seeded" and len(numbers) in (2, 3):
+        depth, seed, removals = (numbers + [24])[:3]
+        if depth >= 1 and removals >= 0:
+            return random_class(depth, seed, Dyadic(1, 1), removals)
+    raise InputError(f"bad class spec {spec!r}: want full:<depth> with depth >= 0, or "
+                     f"seeded:<depth>:<seed>[:<removals>] with depth >= 1 and removals >= 0")
 
 
 def _read_source(path: str) -> BitString:
@@ -231,7 +233,7 @@ def _sweep_rows(count: int, seed: int, max_height: int, max_per_level: int):
 
 
 def cmd_sweep(args) -> int:
-    if args.max_height > 4:
+    if args.max_height > BRUTE_FORCE_HEIGHT_CAP:
         raise PreconditionError("instance too large for oracle")
     lines = ["index,hash,labelable,reducible,condition_satisfied"]
     disagreements = []
@@ -379,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=_int_at_least(0), default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-height", type=_int_at_least(1), default=3)
-    p.add_argument("--max-per-level", type=int, default=10)
+    p.add_argument("--max-per-level", type=_int_at_least(1), default=10)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_sweep)
 

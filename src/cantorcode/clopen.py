@@ -175,23 +175,28 @@ def _iter_prefix_values(node, length: int, acc: int = 0) -> Iterator[int]:
             stack.append((node[0], rest - 1, acc << 1))
 
 
-def _iter_mixed(node, length: int, start: int = 0) -> Iterator[tuple[int, tuple]]:
-    """Prefixes of the given length whose subtree is neither full nor empty.
+def _mixed_levels(node, lengths) -> Iterator[list[tuple[int, tuple]]]:
+    """For each of the non-decreasing lengths, the prefixes of that length whose subtree
+    is neither full nor empty, as lexicographically ordered (value, node) pairs.
 
-    Lexicographic order, from prefix value `start` on.  Full regions and the
-    regions before `start` are skipped wholesale, which is what keeps scans
-    over near-full deep classes cheap.
+    A full or empty subtree stays so below, so each list holds the mixed descendants
+    of the one before: the whole scan is one walk down to the last length, skipping
+    full and empty regions wholesale.
     """
-    stack = [(node, length, 0)]
-    while stack:
-        node, rest, acc = stack.pop()
-        if node is _FULL or node is _EMPTY or (acc + 1) << rest <= start:
-            continue
-        if rest == 0:
-            yield acc, node
-        else:
-            stack.append((node[1], rest - 1, (acc << 1) | 1))
-            stack.append((node[0], rest - 1, acc << 1))
+    frontier = [] if node is _FULL or node is _EMPTY else [(0, node)]
+    walked = 0
+    for length in lengths:
+        for _ in range(length - walked):
+            below = []
+            for value, sub in frontier:
+                left, right = sub[0], sub[1]
+                if left is not _FULL and left is not _EMPTY:
+                    below.append((value << 1, left))
+                if right is not _FULL and right is not _EMPTY:
+                    below.append((value << 1 | 1, right))
+            frontier = below
+        walked = length
+        yield frontier
 
 
 def _ext_count(node, depth: int) -> int:
@@ -343,17 +348,18 @@ class ClopenClass:
             raise PreconditionError("empty class has no extendible strings")
         return next(self.extendible_strings(length))
 
-    def mixed_densities(self, length: int) -> Iterator[tuple[int, Dyadic]]:
-        """(prefix value, density) of each length-`length` prefix whose cylinder the
-        class neither fills nor misses, lexicographically.
+    def mixed_densities(self, lengths) -> Iterator[list[tuple[int, Dyadic]]]:
+        """For each of the non-decreasing lengths, (prefix value, density) of each prefix
+        of that length whose cylinder the class neither fills nor misses, lexicographically.
 
-        Every other extendible prefix of that length has density 1.
+        Every other extendible prefix of a length has density 1.
         """
-        if not 0 <= length <= self.depth:
-            raise PreconditionError("string deeper than class approximation")
-        height = self.depth - length
-        for value, sub in _iter_mixed(self._root, length):
-            yield value, Dyadic(sub[2], height)
+        lengths = list(lengths)
+        if [0, *lengths, self.depth] != sorted([0, *lengths, self.depth]):
+            raise PreconditionError(f"lengths {lengths} must not fall or pass depth {self.depth}")
+        for length, mixed in zip(lengths, _mixed_levels(self._root, lengths)):
+            height = self.depth - length
+            yield [(value, Dyadic(sub[2], height)) for value, sub in mixed]
 
     def members(self) -> list[BitString]:
         return [BitString.from_int(v, self.depth) for v in self._member_values()]
@@ -546,16 +552,13 @@ def prune(P: ClopenClass, sched: "Schedule", levels: int) -> PruneResult:
     nothing qualifies.  The removals Q have measure at most the series sum, so
     the result is nonempty whenever that sum is below measure(P).
 
-    The pairs are visited in one forward pass with a cursor, not rescanned from
-    level 0 after every act.  When the act at (n, sigma) is made, no pair before
-    it qualifies.  Removing the cylinder of sigma empties its extensions and
-    lowers the densities of its prefixes; every other string keeps its density.
-    So the only pairs before the cursor that can newly qualify are the ancestors
-    of sigma at shorter boundaries k < n.  They are checked in increasing k, and
-    the first thin one is acted on next, which in turn can make only its own
-    ancestors thin.  When no ancestor qualifies, the scan resumes at level n just
-    after sigma.  The acts are therefore exactly those of a rescan from level 0
-    after each act, in the same order.
+    The pairs are read in one forward pass over P's mixed prefixes, level by
+    level: while level n is scanned every act is at a boundary k <= n, so each
+    level-n count is its count in P or 0.  An act at (n, sigma) lowers only the
+    densities of sigma's prefixes, so only its ancestors at boundaries k < n can
+    newly qualify; they are checked in increasing k and the first thin one is
+    acted on next.  The acts are therefore exactly those of a rescan from level
+    0 after each act, in the same order.
     """
     if sched.L(levels) > P.depth:
         raise PreconditionError(
@@ -582,14 +585,10 @@ def prune(P: ClopenClass, sched: "Schedule", levels: int) -> PruneResult:
     def thin(k: int, value: int) -> bool:
         return 0 < _count(_at(current._root, value, lengths[k]), depth - lengths[k]) <= limits[k]
 
-    for n, length in enumerate(lengths):
-        start = 0
-        while True:
-            mixed = _iter_mixed(current._root, length, start)
-            value = next((v for v, sub in mixed if sub[2] <= limits[n]), None)
-            if value is None:
-                break
-            start = value + 1
+    for n, mixed in enumerate(_mixed_levels(P._root, lengths)):
+        for value, sub in mixed:
+            if sub[2] > limits[n] or not thin(n, value):
+                continue
             hit = (n, value)
             while hit is not None:
                 k, v = hit
@@ -629,13 +628,13 @@ def verify_extension_property(C: ClopenClass, sched: "Schedule", levels: int) ->
     extensions of length L_{i+1}, for each i < levels."""
     if sched.L(levels) > C.depth:
         raise PreconditionError("string deeper than class approximation")
-    for i in range(levels):
-        li, li1 = sched.L(i), sched.L(i + 1)
-        need = 1 << sched.m(i)
+    lengths = [sched.L(i) for i in range(levels)]
+    for i, mixed in enumerate(_mixed_levels(C._root, lengths)):
+        li, need = lengths[i], 1 << sched.m(i)
         # Inside a full region every string has 2^(l_i) >= 2^(m_i) extensions,
         # so only mixed prefixes can fail.
-        for value, sub in _iter_mixed(C._root, li):
-            got = _ext_count(sub, li1 - li)
+        for value, sub in mixed:
+            got = _ext_count(sub, sched.l(i))
             if got < need:
                 return PropertyVerdict(False, i, BitString.from_int(value, li), got, need)
     return PropertyVerdict(True)
@@ -645,10 +644,10 @@ def verify_density_property(C: ClopenClass, sched: "Schedule", levels: int) -> P
     """Every extendible string at L_i must have density at least 2^(m_i - l_i)."""
     if sched.L(levels) > C.depth:
         raise PreconditionError("string deeper than class approximation")
-    for i in range(levels):
-        li = sched.L(i)
-        thr = Dyadic.pow2(sched.m(i) - sched.l(i))
-        for value, dens in C.mixed_densities(li):
+    lengths = [sched.L(i) for i in range(levels)]
+    for i, densities in enumerate(C.mixed_densities(lengths)):
+        li, thr = lengths[i], Dyadic.pow2(sched.m(i) - sched.l(i))
+        for value, dens in densities:
             if not dens >= thr:
                 return PropertyVerdict(False, i, BitString.from_int(value, li), dens, thr)
     return PropertyVerdict(True)

@@ -11,7 +11,7 @@ from cantorcode.bits import BitString
 from cantorcode.cli import main
 from cantorcode.clopen import ClopenClass, save_class
 from cantorcode.fixtures import fixture_trees
-from cantorcode.labeltree import save_tree
+from cantorcode.labeltree import BRUTE_FORCE_HEIGHT_CAP, save_tree
 
 B = BitString
 
@@ -105,7 +105,7 @@ class TestPruneVerify:
         tree = fixture_trees()["labelable_full_binary"]
         path = workdir / "t.txt"
         save_tree(tree, path)
-        assert run("verify", "--tree", str(path)) == 1  # series 3/2 vs measure 8/128
+        assert run("verify", "--tree", str(path)) == 1  # sum 7/2^5 vs measure 1/2^4
 
 
 class TestBadNumbers:
@@ -114,6 +114,8 @@ class TestBadNumbers:
         ("report", "--schedule", "kucera", "--n-max", "-5"),
         ("sweep", "--count", "3", "--max-height", "0"),
         ("sweep", "--count", "-1"),
+        ("sweep", "--count", "3", "--max-per-level", "0"),
+        ("sweep", "--count", "3", "--max-per-level", "-4"),
         ("vt-run", "--t-max", "0"),
         ("vt-run", "--mode", "density", "--class", "full:13", "--schedule", "kucera",
          "--levels", "-1"),
@@ -136,6 +138,24 @@ class TestBadNumbers:
                    "--levels", "1") == 2
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: class depth must be non-negative, got -3"]
+
+    @pytest.mark.parametrize("spec", [
+        "full:-1", "seeded:-3:1", "seeded:0:1", "seeded:10:1:-5",
+        "full:3:9", "seeded:10:1:2:7", "full:", "seeded:10",
+    ])
+    def test_bad_class_spec_exit_2(self, spec, capsys):
+        assert run("verify", "--class", spec, "--schedule", "kucera", "--levels", "0") == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: bad class spec {spec!r}: want full:<depth>")
+
+    def test_sweep_height_cap_is_the_brute_force_cap(self, capsys):
+        assert run("sweep", "--count", "2", "--max-height", str(BRUTE_FORCE_HEIGHT_CAP)) == 0
+        capsys.readouterr()
+        assert run("sweep", "--count", "2",
+                   "--max-height", str(BRUTE_FORCE_HEIGHT_CAP + 1)) == 3
+        assert capsys.readouterr().err == "error: instance too large for oracle\n"
 
     @pytest.mark.parametrize("line", ["hex ff -3", "hex -ff 8"])
     def test_negative_hex_exit_2(self, workdir, capsys, line):

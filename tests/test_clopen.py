@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -335,6 +336,21 @@ class TestVerifiers:
         verdict = verify_density_property(p, sched, 2)
         assert verdict.sigma == B("01")
 
+    def test_mixed_densities_per_length(self):
+        # 10* holds one word: mixed at lengths 1 and 2, and at 3 below 100 only
+        p = ClopenClass.full(4).minus_cylinder(B("10")).union(cls(4, "1000"))
+        assert list(p.mixed_densities([0, 1, 2, 2, 3])) == [
+            [(0, Dyadic(13, 4))],
+            [(1, Dyadic(5, 3))],
+            [(2, Dyadic(1, 2))],
+            [(2, Dyadic(1, 2))],
+            [(4, Dyadic(1, 1))],
+        ]
+        assert list(p.mixed_densities([])) == []
+        for bad in ([2, 1], [5], [-1, 2]):
+            with pytest.raises(PreconditionError, match="must not fall or pass depth 4"):
+                list(p.mixed_densities(bad))
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 12 - 1), st.integers(1, 2), st.integers(2, 3))
     def test_density_implies_extension(self, mask, m0, l0):
@@ -351,3 +367,63 @@ class TestVerifiers:
             return
         if verify_density_property(c, sched, 1):
             assert verify_extension_property(c, sched, 1)
+
+
+class _CountedNode(tuple):
+    """A trie node that counts the reads of its left child: one per expansion by a walk."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        if key == 0:
+            self.reads += 1
+        return super().__getitem__(key)
+
+
+def _counted(node, nodes: list):
+    """A copy of the trie below `node` built from counted nodes, each listed in `nodes`."""
+    if node is True or node is False:
+        return node
+    copy = _CountedNode((_counted(node[0], nodes), _counted(node[1], nodes), node[2]))
+    nodes.append(copy)
+    return copy
+
+
+class TestOneWalk:
+    """Prune and both verifiers grow each boundary's mixed prefixes from the previous
+    boundary's: one walk down the trie, not one walk from the root per boundary."""
+
+    LEVELS = 12
+
+    def counted_class(self):
+        sched = preset("kucera")
+        depth = sched.L(self.LEVELS)
+        rng = random.Random(6)
+        c = ClopenClass.full(depth)
+        for _ in range(12):
+            length = rng.randint(depth // 2, depth)
+            c = c.minus_cylinder(B.from_int(rng.getrandbits(length), length))
+        nodes: list = []
+        return sched, ClopenClass(depth, _counted(c._root, nodes)), nodes
+
+    def expansions(self, fn):
+        sched, c, nodes = self.counted_class()
+        result = fn(c, sched, self.LEVELS)
+        assert len(nodes) > 500
+        return result, max(node.reads for node in nodes)
+
+    def test_prune_without_acts_expands_each_node_once(self):
+        result, most = self.expansions(prune)
+        assert result.trace == ()
+        assert most == 1
+
+    def test_density_verifier_expands_each_node_once(self):
+        verdict, most = self.expansions(verify_density_property)
+        assert verdict.ok
+        assert most == 1
+
+    def test_extension_verifier_expands_each_node_at_most_twice(self):
+        # once by the frontier walk, once by the extension count below a boundary
+        verdict, most = self.expansions(verify_extension_property)
+        assert verdict.ok
+        assert most <= 2

@@ -12,7 +12,12 @@ from itertools import islice
 
 import pytest
 
-from cantorcode.analysis import left_sets, truncate_class, vt_construction
+from cantorcode.analysis import (
+    density_threshold_experiment,
+    left_sets,
+    truncate_class,
+    vt_construction,
+)
 from cantorcode.bits import BitString, Dyadic, ONE, dyadic_sum
 from cantorcode.clopen import (
     ApproxSequence,
@@ -164,6 +169,70 @@ def test_prune_matches_reference(seed):
             for i in range(levels)
             for s in {mm[: sched.L(i)] for mm in want_members}
         )
+
+
+def n_verdicts(members: frozenset[str], depth: int, m: list[int], l: list[int]):
+    """Reference verifiers and density floor: the least failing (level, prefix, observed,
+    required) of each property, or None, and the (min density, least argmin) per level,
+    from one pass over the members at each block boundary."""
+    bounds = [sum(l[:i]) for i in range(len(l) + 1)]
+    ext = den = None
+    floors = []
+    for i in range(len(m)):
+        counts: dict[str, int] = {}
+        extensions: dict[str, set[str]] = {}
+        for w in members:
+            s = w[: bounds[i]]
+            counts[s] = counts.get(s, 0) + 1
+            extensions.setdefault(s, set()).add(w[: bounds[i + 1]])
+        need, thr = 1 << m[i], Dyadic.pow2(m[i] - l[i])
+        densities = [(s, Dyadic(counts[s], depth - bounds[i])) for s in sorted(counts)]
+        for s, dens in densities:
+            if ext is None and len(extensions[s]) < need:
+                ext = (i, s, len(extensions[s]), need)
+            if den is None and dens < thr:
+                den = (i, s, dens, thr)
+        least = min(d for _, d in densities)
+        floors.append((least, next(s for s, d in densities if d == least)))
+    return ext, den, floors
+
+
+def test_verifier_counterexamples_and_density_floor_match():
+    failed = {"extension": 0, "density": 0}
+    runs = 0
+    for seed in range(60):
+        rng = random.Random(seed + 1500)
+        blocks = rng.randint(1, 3)
+        m = [rng.randint(1, 2) for _ in range(blocks)]
+        l = [mi + rng.randint(0, 1) for mi in m]
+        depth = sum(l) + rng.randint(0, 1)
+        members = n_members(depth, rng, rng.choice([0.3, 0.6, 0.9, 0.97]))
+        if not members:
+            continue
+        runs += 1
+        c = to_class(members, depth)
+        sched = preset("custom", m, l)
+        want_ext, want_den, want_floors = n_verdicts(members, depth, m, l)
+        checks = {
+            "extension": (verify_extension_property(c, sched, blocks), want_ext),
+            "density": (verify_density_property(c, sched, blocks), want_den),
+        }
+        for name, (verdict, want) in checks.items():
+            got = None if verdict.ok else (
+                verdict.level, str(verdict.sigma), verdict.observed, verdict.required
+            )
+            assert got == want, name
+            failed[name] += not verdict.ok
+        lengths = [sum(l[:i]) for i in range(blocks)]
+        rows = density_threshold_experiment(c, lambda i: l[i] - m[i], lengths)
+        assert [(r.level, r.length) for r in rows] == list(enumerate(lengths))
+        assert [(r.min_density, str(r.argmin)) for r in rows] == want_floors
+        assert [r.threshold for r in rows] == [Dyadic.pow2(m[i] - l[i]) for i in range(blocks)]
+        assert [r.ok for r in rows] == [
+            least >= Dyadic.pow2(m[i] - l[i]) for i, (least, _) in enumerate(want_floors)
+        ]
+    # the sample exercises both verdicts of both verifiers
+    assert all(0 < count < runs for count in failed.values()), (failed, runs)
 
 
 def n_cascade_class(seed: int) -> tuple[frozenset[str], int]:
