@@ -512,6 +512,9 @@ def save_class(c: ClopenClass, path) -> None:
 
 def random_class(depth: int, seed: int, min_measure: Dyadic, removals: int = 24) -> ClopenClass:
     """Seeded class: start full, carve out random cylinders while staying above min_measure."""
+    if depth < 1 or removals < 0:
+        raise PreconditionError(f"random_class needs depth >= 1 and removals >= 0, "
+                                f"got depth {depth}, removals {removals}")
     rng = random.Random(seed)
     c = ClopenClass.full(depth)
     for _ in range(removals):

@@ -17,9 +17,8 @@ in the test suite.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterable, Iterator
+from dataclasses import dataclass
+from typing import Iterable, Iterator, NamedTuple
 
 from .bits import BitString, Dyadic, EMPTY, dyadic_sum
 from .errors import InputError, InternalError, PreconditionError
@@ -52,7 +51,13 @@ BRUTE_FORCE_HEIGHT_CAP = 4
 
 
 class UTree:
-    """A downward-closed set of words at fixed level lengths, rooted at the empty word."""
+    """A downward-closed set of words at fixed level lengths, rooted at the empty word.
+
+    Level i's nodes are indexed 0..n_i-1 in lex order, which for words of one
+    length is integer order, so the children of a node are a contiguous index
+    range of the next level: `spans[i + 1][j]` for node j of level i, and
+    `spans[0][0]` for the root.
+    """
 
     def __init__(self, u: Iterable[int], nodes: Iterable[BitString]):
         u = tuple(u)
@@ -70,21 +75,27 @@ class UTree:
         self.u = u
         self.nodes = nodeset
         self.levels: tuple[tuple[BitString, ...], ...] = tuple(
-            tuple(sorted(by_length[x])) for x in u
+            tuple(sorted(by_length[x], key=lambda nd: nd.value)) for x in u
         )
         self._level_of = {x: i for i, x in enumerate(u)}
-        self._children: dict[BitString, tuple[BitString, ...]] = {EMPTY: self.levels[0]}
+        spans = [(range(len(self.levels[0])),)]
         for i in range(len(u) - 1):
-            buckets: dict[BitString, list[BitString]] = {nd: [] for nd in self.levels[i]}
+            width = u[i + 1] - u[i]
+            index = {nd.value: j for j, nd in enumerate(self.levels[i])}
+            starts = [0] * (len(index) + 1)
             for child in self.levels[i + 1]:
-                parent = child.prefix(u[i])
-                if parent not in buckets:
+                j = index.get(child.value >> width)
+                if j is None:
                     raise PreconditionError(f"node {child} has no parent at length {u[i]}")
-                buckets[parent].append(child)
-            for nd in self.levels[i]:
-                self._children[nd] = tuple(buckets[nd])
-        for nd in self.levels[-1]:
-            self._children.setdefault(nd, ())
+                starts[j + 1] += 1
+            for j in range(len(index)):
+                starts[j + 1] += starts[j]
+            spans.append(tuple(range(a, b) for a, b in zip(starts, starts[1:])))
+        self.spans: tuple[tuple[range, ...], ...] = tuple(spans)
+        self._children: dict[BitString, tuple[BitString, ...]] = dict.fromkeys(self.levels[-1], ())
+        for parents, below, ranges in zip(((EMPTY,),) + self.levels, self.levels, spans):
+            for nd, r in zip(parents, ranges):
+                self._children[nd] = below[r.start:r.stop]
 
     @property
     def height(self) -> int:
@@ -228,33 +239,22 @@ def is_fully_labelable_bruteforce(tree: UTree) -> tuple[bool, Labelling | None]:
     form a group; their pooled children must split into two nonempty groups
     carrying the subject's two extensions, and so on to the last level.  Group
     feasibility depends only on the group, so it is memoized; the bipartition
-    enumeration itself is exhaustive.
+    enumeration itself is exhaustive.  A group is a bitmask over its level's
+    node indices, and a split of the pooled children is a submask.
     """
     k = tree.height
     if k > BRUTE_FORCE_HEIGHT_CAP:
         raise PreconditionError("instance too large for oracle")
 
-    desc_cache: dict[BitString, tuple[int, ...]] = {}
+    # desc[i + 1][j][d]: descendants of node j of level i at level i + d (the root is i = -1)
+    desc: list[list[tuple[int, ...]]] = [[(1,)] * tree.level_count(k - 1)]
+    for ranges in reversed(tree.spans):
+        below, zeros = desc[0], (0,) * len(desc)
+        desc.insert(0, [(1,) + tuple(map(sum, zip(zeros, *below[r.start:r.stop])))
+                        for r in ranges])
+    memo: dict[tuple[int, int], tuple | None] = {}
 
-    def desc_counts(node: BitString) -> tuple[int, ...]:
-        """Descendant counts of `node` at each level at or below its own."""
-        got = desc_cache.get(node)
-        if got is None:
-            kids = tree.children(node)
-            if not kids:
-                got = (1,)
-            else:
-                tails = [desc_counts(c) for c in kids]
-                width = max(len(t) for t in tails)
-                got = (1,) + tuple(
-                    sum(t[j] for t in tails if j < len(t)) for j in range(width)
-                )
-            desc_cache[node] = got
-        return got
-
-    memo: dict[tuple[int, frozenset[BitString]], tuple | None] = {}
-
-    def realize(group: frozenset[BitString], level: int):
+    def realize(group: int, level: int):
         """Plan for one subject on `group` plus all deeper subjects below it."""
         if level == k - 1:
             return ("leaf",)
@@ -262,57 +262,53 @@ def is_fully_labelable_bruteforce(tree: UTree) -> tuple[bool, Labelling | None]:
         if key in memo:
             return memo[key]
         plan = None
+        members = _bits(group)
+        rows = desc[level + 1]
         # cheap necessary condition: enough descendants for the subject tree below
-        feasible = True
-        for j in range(level + 1, k):
-            have = sum(
-                t[j - level] if j - level < len(t) else 0
-                for t in (desc_counts(nd) for nd in group)
-            )
-            if have < 1 << (j - level):
-                feasible = False
-                break
-        if feasible:
-            children = sorted({c for nd in group for c in tree.children(nd)})
-            if len(children) >= 2:
-                head, rest = children[0], children[1:]
-                for mask in range(1 << len(rest)):
-                    side_a = [head] + [c for b, c in enumerate(rest) if mask >> b & 1]
-                    side_b = [c for b, c in enumerate(rest) if not mask >> b & 1]
-                    if not side_b:
-                        continue
-                    fa = frozenset(side_a)
-                    fb = frozenset(side_b)
-                    pa = realize(fa, level + 1)
-                    if pa is None:
-                        continue
-                    pb = realize(fb, level + 1)
-                    if pb is None:
-                        continue
-                    plan = ("split", tuple(sorted(fa)), pa, tuple(sorted(fb)), pb)
-                    break
+        if all(sum(rows[j][d] for j in members) >= 1 << d for d in range(1, k - level)):
+            children = 0
+            for j in members:
+                r = tree.spans[level + 1][j]
+                children |= (1 << r.stop) - (1 << r.start)
+            head = children & -children
+            rest = children ^ head
+            sub = 0
+            while sub != rest:  # every split with both sides nonempty, in numeric order
+                pa = realize(head | sub, level + 1)
+                if pa is not None:
+                    pb = realize(rest ^ sub, level + 1)
+                    if pb is not None:
+                        plan = ("split", head | sub, pa, rest ^ sub, pb)
+                        break
+                sub = (sub - rest) & rest
         memo[key] = plan
         return plan
 
-    top = realize(frozenset({EMPTY}), -1)
+    top = realize(1, -1)
     if top is None:
         return False, None
 
     pairs: list[tuple[BitString, BitString]] = []
 
-    def emit(plan, subject: BitString) -> None:
+    def emit(plan, subject: BitString, level: int) -> None:
         if plan[0] == "leaf":
             return
         _, side_a, pa, side_b, pb = plan
-        for nd in side_a:
-            pairs.append((nd, subject.append(0)))
-        for nd in side_b:
-            pairs.append((nd, subject.append(1)))
-        emit(pa, subject.append(0))
-        emit(pb, subject.append(1))
+        nodes = tree.levels[level + 1]
+        for j in _bits(side_a):
+            pairs.append((nodes[j], subject.append(0)))
+        for j in _bits(side_b):
+            pairs.append((nodes[j], subject.append(1)))
+        emit(pa, subject.append(0), level + 1)
+        emit(pb, subject.append(1), level + 1)
 
-    emit(top, EMPTY)
+    emit(top, EMPTY, -1)
     return True, Labelling(pairs)
+
+
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of `mask`, ascending."""
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
 # -- splice operation (concrete, re-addressing) --------------------------------
@@ -400,39 +396,39 @@ class ReduceResult:
         return self.ok
 
 
-@dataclass(frozen=True)
-class _Cluster:
-    """A node of the working tree during reduction: original identity plus children."""
+class _Cluster(NamedTuple):
+    """A node of the working tree during reduction.
 
-    ident: BitString
+    Tuples order by (shape, ident), the order the search sorts sibling groups
+    in; `ident` is the node's index within its level, so no comparison gets
+    past it.  `desc[d]` counts the node's descendants d + 1 levels below it.
+    """
+
+    shape: tuple
+    ident: int
     children: tuple["_Cluster", ...]
-    shape: tuple = field(compare=False, default=())
+    desc: tuple[int, ...]
 
 
-def _cluster_of(tree: UTree, node: BitString) -> _Cluster:
-    kids = tuple(sorted((_cluster_of(tree, c) for c in tree.children(node)),
-                        key=lambda c: (c.shape, c.ident)))
-    return _Cluster(node, kids, tuple(sorted(k.shape for k in kids)))
+def _clusters(tree: UTree) -> list[_Cluster]:
+    """The level-0 clusters of `tree`, built bottom-up over the level indices."""
+    below = [_Cluster((), j, (), ()) for j in range(tree.level_count(tree.height - 1))]
+    zeros: tuple[int, ...] = ()
+    for ranges in reversed(tree.spans[1:]):
+        level = []
+        for j, r in enumerate(ranges):
+            kids = tuple(sorted(below[r.start:r.stop]))
+            desc = (len(kids),) + tuple(map(sum, zip(zeros, *(c.desc for c in kids))))
+            level.append(_Cluster(tuple(c.shape for c in kids), j, kids, desc))
+        below = level
+        zeros += (0,)
+    return below
 
 
-@lru_cache(maxsize=None)
-def _shape_desc(shape: tuple, rel: int) -> int:
-    if rel == 0:
-        return 1
-    return sum(_shape_desc(s, rel - 1) for s in shape)
-
-
-def _fold(group: list[_Cluster], level: int) -> tuple[list[SpliceStep], _Cluster]:
-    """Merge a whole group into one cluster, smallest identity surviving."""
-    group = sorted(group, key=lambda c: c.ident)
-    acc = group[0]
-    steps = []
-    for nxt in group[1:]:
-        left, right = sorted((acc.ident, nxt.ident))
-        steps.append(SpliceStep(level, left, right, left))
-        kids = tuple(sorted(acc.children + nxt.children, key=lambda c: (c.shape, c.ident)))
-        acc = _Cluster(left, kids, tuple(sorted(k.shape for k in kids)))
-    return steps, acc
+def _merges(side: list[_Cluster], level: int) -> list[tuple[int, int, int]]:
+    """Fold a whole side into its smallest identity, as (level, survivor, absorbed)."""
+    idents = sorted(c.ident for c in side)
+    return [(level, idents[0], j) for j in idents[1:]]
 
 
 def _bipartition_patterns(counts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -464,7 +460,8 @@ def splice_reduce(tree: UTree) -> ReduceResult:
     Any splice sequence can be reordered root-down without changing the result,
     so the search picks, level by level, an unordered split of each sibling
     group into the two eventual survivors and recurses on their pooled
-    children.  Failures are memoized by the group's shape multiset.
+    children.  Failures are memoized by the group's shape multiset.  The
+    search runs on level indices; steps become words once it has succeeded.
     """
     k = tree.height
     for i in range(k):
@@ -474,21 +471,19 @@ def splice_reduce(tree: UTree) -> ReduceResult:
     fail: set[tuple[int, tuple]] = set()
     win: dict[tuple[int, tuple], tuple[int, ...]] = {}
 
-    def reduce_group(group: list[_Cluster], level: int) -> list[SpliceStep] | None:
+    def reduce_group(group: list[_Cluster], level: int) -> list[tuple[int, int, int]] | None:
         """Reduce sibling clusters to exactly two survivors, full binary above each."""
         if len(group) < 2:
             return None
+        group = sorted(group)
         if level == k - 1:
-            steps_a, _ = _fold(group[:1], level)
-            steps_b, _ = _fold(group[1:], level)
-            return steps_a + steps_b
-        group = sorted(group, key=lambda c: (c.shape, c.ident))
+            return _merges(group[1:], level)
         shapes = tuple(c.shape for c in group)
         key = (level, shapes)
         if key in fail:
             return None
-        for j in range(level + 1, k):
-            if sum(_shape_desc(s, j - level) for s in shapes) < (1 << (j - level + 1)):
+        for d in range(k - 1 - level):
+            if sum(c.desc[d] for c in group) < 1 << (d + 2):
                 fail.add(key)
                 return None
         # distinct shape classes with multiplicities
@@ -500,7 +495,7 @@ def splice_reduce(tree: UTree) -> ReduceResult:
                 classes.append((s, 1))
         counts = tuple(c for _, c in classes)
 
-        def attempt(pattern: tuple[int, ...]) -> list[SpliceStep] | None:
+        def attempt(pattern: tuple[int, ...]) -> list[tuple[int, int, int]] | None:
             side_a: list[_Cluster] = []
             side_b: list[_Cluster] = []
             pos = 0
@@ -508,15 +503,13 @@ def splice_reduce(tree: UTree) -> ReduceResult:
                 side_a.extend(group[pos:pos + a])
                 side_b.extend(group[pos + a:pos + n])
                 pos += n
-            steps_a, merged_a = _fold(side_a, level)
-            steps_b, merged_b = _fold(side_b, level)
-            deeper_a = reduce_group(list(merged_a.children), level + 1)
+            deeper_a = reduce_group([c for s in side_a for c in s.children], level + 1)
             if deeper_a is None:
                 return None
-            deeper_b = reduce_group(list(merged_b.children), level + 1)
+            deeper_b = reduce_group([c for s in side_b for c in s.children], level + 1)
             if deeper_b is None:
                 return None
-            return steps_a + steps_b + deeper_a + deeper_b
+            return _merges(side_a, level) + _merges(side_b, level) + deeper_a + deeper_b
 
         known = win.get(key)
         if known is not None:
@@ -532,11 +525,13 @@ def splice_reduce(tree: UTree) -> ReduceResult:
         fail.add(key)
         return None
 
-    roots = [_cluster_of(tree, nd) for nd in tree.levels[0]]
-    steps = reduce_group(roots, 0)
-    if steps is None:
+    merges = reduce_group(_clusters(tree), 0)
+    if merges is None:
         return ReduceResult(False)
-    return ReduceResult(True, tuple(steps))
+    words = tree.levels
+    return ReduceResult(True, tuple(
+        SpliceStep(lv, words[lv][a], words[lv][b], words[lv][a]) for lv, a, b in merges
+    ))
 
 
 def _full_binary_shape(height: int) -> tuple:
@@ -549,9 +544,8 @@ def _full_binary_shape(height: int) -> tuple:
 def is_isomorphic_to_full_binary(tree: UTree) -> bool:
     """Partial-order isomorphism with the full binary tree of the same height,
     decided by comparing sorted child-count profiles recursively."""
-    root = _Cluster(EMPTY, tuple(_cluster_of(tree, nd) for nd in tree.levels[0]))
     want = _full_binary_shape(tree.height)
-    return tuple(sorted(c.shape for c in root.children)) == want
+    return tuple(sorted(c.shape for c in _clusters(tree))) == want
 
 
 # -- converse direction: labels from a reduction --------------------------------

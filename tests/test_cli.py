@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ from cantorcode.fixtures import fixture_trees
 from cantorcode.labeltree import BRUTE_FORCE_HEIGHT_CAP, save_tree
 
 B = BitString
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures" / "trees"
 
 
 def run(*argv) -> int:
@@ -263,6 +265,48 @@ class TestGoldenDigests:
         digests = {name: hashlib.sha256((workdir / name).read_bytes()).hexdigest()
                    for name in self.GOLDEN}
         assert digests == self.GOLDEN
+
+
+class TestDeciderDigests:
+    """sha256 of the `label`, `splice-check` and `sweep` artifacts: the witness
+    labelling and the splice steps the two searches pick first are pinned."""
+
+    GOLDEN = {
+        "labelable_chains_pair_fan.lab": "982abd499f751aefb1091f9939f16bcb041fdfffe8ef47c45bc7c74b3419944a",
+        "labelable_chains_pair_fan.csv": "35d0cf71beb3fc49ec6de73b0b2c92cb94cb4aca737294718b815a642c6dfe74",
+        "labelable_eight_chains.lab": "abf7ca2476c323e7b900bb7eb290a4e2ad08d4be3660cea4927d06f1ddcd4f61",
+        "labelable_eight_chains.csv": "0e0f7a5f1354f2ff37a63213c7ca90a953b0ad60187fadaf0785e923dbbbd0c9",
+        "labelable_fan_and_mixed.lab": "8b2c294f6ce2da7eda7ebd979f6d47c0da3abb99babc6140c2a6dd2ee6a98773",
+        "labelable_fan_and_mixed.csv": "27118902b7002f0e2416344d1f06660949d67c502e45e56deb4d142a64b88fc2",
+        "labelable_fan_and_pairs.lab": "f6c1981e0c1ea70a8748fc0f9684c64461fa4597ca7748a830249b3d38a6fe0f",
+        "labelable_fan_and_pairs.csv": "91e76bcb0333fae2961af406ff5fe5af3f7ca31b5f6de823d2b86398d33f37d6",
+        "labelable_four_chains_and_fan.lab": "002449ee8b440a64580a8888280b3e963c3b02dbe471ca91c9f1b9352ee978da",
+        "labelable_four_chains_and_fan.csv": "e301daa3e4bfa23bc6de145351eaa786a3c535acc5e06711a852326b8d4dd338",
+        "labelable_full_binary.lab": "458ab608dc7df1bbf87bcb5b53f03b75f9a57fa2ad90a0e12b3e382a611bb221",
+        "labelable_full_binary.csv": "fc7d380837495c38ce7660105a0fcc8b03eb71de3b46c802164b73a5b2fa0c01",
+        "labelable_mixed_arity.lab": "4b4cd6e254fe0f7ed25eae6e37566befa669ada44226a8e5ddc4314372f9846a",
+        "labelable_mixed_arity.csv": "c8132491c09e5559fb9caaf5f5689e315ca603288f6e86286484ed2eb6c25519",
+        "labelable_three_branch_root.lab": "aa6a572f8725125dffd84af6867f8df0dc0b7f3eb2d8db0a04e360371619eded",
+        "labelable_three_branch_root.csv": "5491c41b58eafbbf6a24201d20a223d7ba39fb61e5b2efa2546f1e5b34aff414",
+        "seeded_9.lab": "341200387c701a7822d93158b9cf57008874f18778e33545ef67d45703975915",
+        "seeded_9.csv": "836c8fb621f1e786b9617968870af7c3e258bfd97e79d255504b5f9f61303a0b",
+        "sweep.csv": "772e10749ebbdff2599903021229c9c3f274008e81c0d2fee23adac62e543dc6",
+    }
+
+    def test_artifacts_match_pinned_digests(self, workdir, seeded_tree):
+        trees = {p.stem: p for p in sorted(FIXTURE_DIR.glob("labelable_*.txt"))}
+        trees["seeded_9"] = workdir / "seeded_9.txt"
+        save_tree(seeded_tree(9), trees["seeded_9"])
+        for name, path in trees.items():
+            assert run("label", "--tree", str(path), "--out", str(workdir / f"{name}.lab")) == 0
+            assert run("splice-check", "--tree", str(path),
+                       "--out", str(workdir / f"{name}.csv")) == 0
+        assert run("sweep", "--count", "300", "--seed", "5", "--max-height", "4",
+                   "--out", str(workdir / "sweep.csv")) == 0
+        digests = {name: hashlib.sha256((workdir / name).read_bytes()).hexdigest()
+                   for name in self.GOLDEN}
+        assert digests == self.GOLDEN
+        assert len(trees) == 9  # eight labelable fixtures and the seeded tree
 
 
 class TestTreeCommands:

@@ -300,6 +300,12 @@ class TestPrune:
         acted = [a.sigma for a in result.trace]
         assert len(acted) == len(set(acted))
 
+    @pytest.mark.parametrize("depth,removals", [(0, 24), (-3, 24), (5, -1)])
+    def test_random_class_ranges(self, depth, removals):
+        with pytest.raises(PreconditionError, match="depth >= 1 and removals >= 0"):
+            random_class(depth, 1, Dyadic(1, 1), removals)
+        assert random_class(1, 1, ZERO, 0) == ClopenClass.full(1)
+
 
 class TestVerifiers:
     def test_full_class_passes_everything(self):

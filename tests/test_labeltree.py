@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -51,6 +53,11 @@ class TestUTree:
         assert t.children(B("01")) == (B("010"), B("011"))
         assert t.parent(B("010")) == B("01")
         assert t.level_of(EMPTY) == -1
+        assert t.spans == (
+            (range(0, 2),),
+            (range(0, 2), range(2, 4)),
+            (range(0, 2), range(2, 4), range(4, 6), range(6, 8)),
+        )
 
     def test_downward_closure_enforced(self):
         with pytest.raises(PreconditionError, match="no parent"):
@@ -305,6 +312,49 @@ class TestSpliceReduce:
 
 def _shape_of(tree: UTree, node: BitString = EMPTY) -> tuple:
     return tuple(sorted(_shape_of(tree, c) for c in tree.children(node)))
+
+
+class TestSearchCost:
+    def test_searches_do_not_compare_words(self, seeded_tree, monkeypatch):
+        """Both searches run on level indices: word comparisons and hashes stay
+        within a small multiple of the output, pairs plus steps."""
+        tree = seeded_tree(9)
+        calls = {"lt": 0, "hash": 0}
+        lt, hash_ = BitString.__lt__, BitString.__hash__
+
+        def counted_lt(a, b):
+            calls["lt"] += 1
+            return lt(a, b)
+
+        def counted_hash(a):
+            calls["hash"] += 1
+            return hash_(a)
+
+        monkeypatch.setattr(BitString, "__lt__", counted_lt)
+        monkeypatch.setattr(BitString, "__hash__", counted_hash)
+        ok, lab = is_fully_labelable_bruteforce(tree)
+        result = splice_reduce(tree)
+        monkeypatch.undo()
+        assert ok and result.ok
+        assert (len(lab), len(result.steps)) == (62, 32)
+        # sorting the 62 witness pairs is the only comparison work left
+        assert calls["lt"] + calls["hash"] <= 4 * (len(lab) + len(result.steps))
+
+    def test_splice_reduce_retains_no_memory(self, seeded_tree):
+        """No cache outlives a call: memory after thousands of distinct trees is flat."""
+        trees = [seeded_tree(s, 2 + s % 3) for s in range(2000)]
+        splice_reduce(trees[0])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            reducible = sum(splice_reduce(t).ok for t in trees)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert reducible > 100
+        assert retained < 32 * 1024
 
 
 class TestLabellingFromReduction:

@@ -27,6 +27,7 @@ from cantorcode.clopen import (
     verify_extension_property,
 )
 from cantorcode.coder import decode, encode, settle_words
+from cantorcode.labeltree import UTree, is_fully_labelable_bruteforce, splice_reduce
 from cantorcode.schedules import Schedule, preset
 
 B = BitString
@@ -397,3 +398,91 @@ def test_vt_chain_matches_reference(seed):
         assert result.witness_t == exit_t
         assert str(result.witness) == x[: n[exit_t]]
         assert result.witness_density <= Dyadic.pow2(-g[exit_t])
+
+
+# -- naive labelability over sets of words ---------------------------------------
+
+
+def n_random_tree(rng: random.Random) -> tuple[tuple[int, ...], frozenset[str]]:
+    """Level lengths and a downward-closed word set of at most 10 nodes, root excluded."""
+    u: list[int] = []
+    for _ in range(rng.choice((1, 2, 2, 2))):  # height 3 needs 14 nodes to be labelable
+        u.append((u[-1] if u else 0) + rng.randint(1, 2))
+    words: set[str] = set()
+    current = [""]
+    for length in u:
+        width = length - len(current[0])
+        nxt = []
+        for w in current:
+            k = min(rng.randint(0 if w else 1, 4), 1 << width, 10 - len(words) - len(nxt))
+            tails = rng.sample(range(1 << width), max(k, 0))
+            nxt.extend(w + format(t, f"0{width}b") for t in tails)
+        words.update(nxt)
+        current = nxt
+        if not current:
+            break
+    return tuple(u), frozenset(words)
+
+
+def n_labellings(u: tuple[int, ...], words: frozenset[str]):
+    """Every labelling whose labelled nodes are closed toward the root: each node
+    takes its parent's subject plus 0, plus 1, or no label (at most 3^n of them)."""
+    order = sorted(words, key=len)  # parents before children
+    labels: dict[str, str] = {}
+
+    def parent_subject(w: str) -> str | None:
+        shorter = [x for x in u if x < len(w)]
+        return labels.get(w[:shorter[-1]]) if shorter else ""
+
+    def rec(i: int):
+        if i == len(order):
+            yield list(labels.items())
+            return
+        yield from rec(i + 1)
+        base = parent_subject(order[i])
+        if base is not None:
+            for bit in "01":
+                labels[order[i]] = base + bit
+                yield from rec(i + 1)
+                del labels[order[i]]
+
+    return rec(0)
+
+
+def n_is_full_labelling(u: tuple[int, ...], words: frozenset[str], pairs) -> bool:
+    """The five labelling conditions plus fullness, checked on strings."""
+    level = {x: i for i, x in enumerate(u)}
+    subjects = {s for _, s in pairs}
+    table = dict(pairs)
+
+    def every(j: int) -> list[str]:
+        return [format(v, f"0{j}b") for v in range(1 << j)]
+
+    if not all(s in subjects for j in range(1, len(u) + 1) for s in every(j)):
+        return False  # not full
+    return (
+        all(w in words and len(w) in level for w, _ in pairs)  # (1)
+        and all(len(s) == level[len(w)] + 1 for w, s in pairs)  # (2)
+        and all(x in subjects for s in subjects for j in range(1, len(s) + 1)
+                for x in every(j))  # (3)
+        and len(table) == len(pairs)  # (4)
+        and all(level[len(w)] == 0 or table.get(w[:u[level[len(w)] - 1]]) == s[:-1]
+                for w, s in pairs)  # (5)
+    )
+
+
+def test_labelability_deciders_match_reference():
+    rng = random.Random(4242)
+    verdicts = []
+    for _ in range(200):
+        u, words = n_random_tree(rng)
+        want = any(n_is_full_labelling(u, words, pairs) for pairs in n_labellings(u, words))
+        tree = UTree(u, [B(w) for w in words])
+        ok, witness = is_fully_labelable_bruteforce(tree)
+        assert ok == want, (u, sorted(words))
+        assert splice_reduce(tree).ok == want, (u, sorted(words))
+        if ok:
+            pairs = [(str(nd), str(s)) for nd, s in witness.pairs]
+            assert n_is_full_labelling(u, words, pairs)
+        verdicts.append(want)
+    assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
