@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .bits import BitString, Dyadic, ONE
-from .clopen import ApproxSequence, ClopenClass
+from .clopen import ClopenClass
 from .errors import InternalError, PreconditionError
 
 __all__ = [
@@ -81,7 +81,7 @@ class VtResult:
 
 
 def vt_construction(
-    P: ApproxSequence,
+    P: ClopenClass,
     U: Sequence[ClopenClass],
     g: Callable[[int], int],
     n: Sequence[int],
@@ -93,8 +93,8 @@ def vt_construction(
     at most 2^-n[t]; the level lengths must satisfy n[t+1] > n[t] + g(t).  The
     cover at level t+1 keeps, inside each cylinder of the previous cover, the
     lexicographically least part of U[t+1] of relative measure at most
-    1 - 2^-(g(t)+1).  If the leftmost path of the final stage falls out of the
-    chain before t_max, the prefix where it last belonged is returned with its
+    1 - 2^-(g(t)+1).  If the leftmost path of P falls out of the chain before
+    t_max, the prefix where it last belonged is returned with its
     exactly-verified density bound 2^-g(t).
     """
     if t_max + 1 > len(n) or t_max + 1 > len(U):
@@ -104,18 +104,17 @@ def vt_construction(
             raise PreconditionError(f"overhead g({t}) must be non-negative")
         if not n[t + 1] > n[t] + g(t):
             raise PreconditionError(f"level lengths too close: n[{t + 1}] <= n[{t}] + g({t})")
-    final = P.final
-    if final.is_empty():
+    if P.is_empty():
         raise PreconditionError("empty class")
-    if n[t_max] > final.depth:
+    if n[t_max] > P.depth:
         raise PreconditionError("string deeper than class approximation")
     for t in range(t_max + 1):
         if U[t].depth != n[t]:
             raise PreconditionError(f"level set {t} has depth {U[t].depth}, expected {n[t]}")
-        if _meet_measure(final, U[t]) > Dyadic.pow2(-n[t]):
+        if _meet_measure(P, U[t]) > Dyadic.pow2(-n[t]):
             raise PreconditionError(f"level set {t} meets the class too heavily")
 
-    x = final.leftmost(final.depth)
+    x = P.leftmost(P.depth)
     for t in range(t_max + 1):
         if x.prefix(n[t]) not in U[t]:
             raise PreconditionError("leftmost path is not inside the level sets")
@@ -148,7 +147,7 @@ def vt_construction(
     if exit_t == t_max:
         return VtResult(tuple(levels), None, None, None, None)
     sigma = x.prefix(n[exit_t])
-    dens = final.density(sigma)
+    dens = P.density(sigma)
     thr = Dyadic.pow2(-g(exit_t))
     if dens > thr:
         raise InternalError(
@@ -197,13 +196,13 @@ def density_threshold_experiment(
 
 def random_vt_instance(
     seed: int, t_max: int = 3
-) -> tuple[ApproxSequence, list[ClopenClass], list[int], list[int]]:
+) -> tuple[ClopenClass, list[ClopenClass], list[int], list[int]]:
     """Seeded instance whose leftmost path provably falls out of the chain.
 
     The path is laid out with all-zero blocks (kept by every truncation) up to
     a planted level, then an all-ones block (always dropped), so the exit level
-    is exact.  Extra members are planted strictly to the right of the path.
-    Returns (stages, level sets, overheads g, level lengths n).
+    is exact.  The other members are drawn at or to the right of the path.
+    Returns (class, level sets, overheads g, level lengths n).
     """
     rng = random.Random(seed)
     g = [rng.randint(0, 2) for _ in range(t_max)]
@@ -220,9 +219,5 @@ def random_vt_instance(
     for _ in range(rng.randint(4, 40)):
         v = rng.randrange(x.as_int, 1 << depth)
         members.add(BitString.from_int(v, depth))
-    final = ClopenClass.from_members(depth, members)
-    extra = {BitString.from_int(rng.randrange(x.as_int, 1 << depth), depth) for _ in range(6)}
-    first = ClopenClass.from_members(depth, members | extra)
-    stages = ApproxSequence((first, final))
-    u_sets = left_sets_for_levels(final, n)
-    return stages, u_sets, g, n
+    P = ClopenClass.from_members(depth, members)
+    return P, left_sets_for_levels(P, n), g, n

@@ -138,6 +138,11 @@ def cmd_decode(args) -> int:
         code = BitString(fields["code"])
     except (KeyError, ValueError):
         raise InputError("code file needs bits=, levels= and code= lines") from None
+    if levels < 0:
+        raise InputError(f"code file levels must be non-negative, got {levels}")
+    if not 0 <= bits <= sched.M(levels):
+        raise InputError(f"code file bits must lie in [0, M({levels})] = "
+                         f"[0, {sched.M(levels)}], got {bits}")
     pruned = prune(P, sched, levels)
     result = decode(code, pruned.pstar, sched, levels)
     recovered = result.source.prefix(bits)
@@ -285,8 +290,8 @@ def cmd_vt_run(args) -> int:
         _write(args.out, "\n".join(lines) + "\n")
         print(f"density floor over {len(rows)} levels written")
         return EXIT_OK
-    stages, u_sets, g, n = random_vt_instance(args.seed, args.t_max)
-    result = vt_construction(stages, u_sets, lambda t: g[t], n, args.t_max)
+    P, u_sets, g, n = random_vt_instance(args.seed, args.t_max)
+    result = vt_construction(P, u_sets, lambda t: g[t], n, args.t_max)
     lines = ["t,length,count,measure,decay_bound"]
     for lv in result.levels:
         lines.append(f"{lv.t},{lv.length},{lv.cover.member_count},"

@@ -42,21 +42,20 @@ _SHAPES: dict[str, tuple] = {
 def build_tree(shape: tuple, u: tuple[int, ...] = FIXTURE_U) -> UTree:
     """Embed a nested child structure at the given level lengths, addresses in order."""
     nodes: list[BitString] = []
-
-    def place(address: BitString, children: tuple, level: int) -> None:
+    stack = [(EMPTY, shape, 0)]
+    while stack:  # preorder, so a malformed shape fails at its first bad node
+        address, children, level = stack.pop()
         if level >= len(u):
             if children:
                 raise ValueError("shape deeper than the level lengths")
-            return
+            continue
         width = u[level] - (u[level - 1] if level else 0)
         if len(children) > (1 << width):
             raise ValueError(f"{len(children)} children do not fit in {width} bits")
-        for j, sub in enumerate(children):
-            child = address + BitString.from_int(j, width)
-            nodes.append(child)
-            place(child, sub, level + 1)
-
-    place(EMPTY, shape, 0)
+        placed = [(address + BitString.from_int(j, width), sub, level + 1)
+                  for j, sub in enumerate(children)]
+        nodes.extend(child for child, _, _ in placed)
+        stack.extend(reversed(placed))
     return UTree(u, nodes)
 
 

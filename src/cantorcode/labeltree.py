@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Iterator, NamedTuple
 
 from .bits import BitString, Dyadic, EMPTY, dyadic_sum
@@ -252,58 +253,60 @@ def is_fully_labelable_bruteforce(tree: UTree) -> tuple[bool, Labelling | None]:
         below, zeros = desc[0], (0,) * len(desc)
         desc.insert(0, [(1,) + tuple(map(sum, zip(zeros, *below[r.start:r.stop])))
                         for r in ranges])
-    memo: dict[tuple[int, int], tuple | None] = {}
-
-    def realize(group: int, level: int):
-        """Plan for one subject on `group` plus all deeper subjects below it."""
-        if level == k - 1:
-            return ("leaf",)
-        key = (level, group)
-        if key in memo:
-            return memo[key]
-        plan = None
-        members = _bits(group)
-        rows = desc[level + 1]
-        # cheap necessary condition: enough descendants for the subject tree below
-        if all(sum(rows[j][d] for j in members) >= 1 << d for d in range(1, k - level)):
-            children = 0
-            for j in members:
-                r = tree.spans[level + 1][j]
-                children |= (1 << r.stop) - (1 << r.start)
-            head = children & -children
-            rest = children ^ head
-            sub = 0
-            while sub != rest:  # every split with both sides nonempty, in numeric order
-                pa = realize(head | sub, level + 1)
-                if pa is not None:
-                    pb = realize(rest ^ sub, level + 1)
-                    if pb is not None:
-                        plan = ("split", head | sub, pa, rest ^ sub, pb)
-                        break
-                sub = (sub - rest) & rest
-        memo[key] = plan
-        return plan
-
-    top = realize(1, -1)
+    top = _realize(tree.spans, desc, {}, 1, -1)
     if top is None:
         return False, None
 
     pairs: list[tuple[BitString, BitString]] = []
-
-    def emit(plan, subject: BitString, level: int) -> None:
+    stack = [(top, EMPTY, -1)]
+    while stack:
+        plan, subject, level = stack.pop()
         if plan[0] == "leaf":
-            return
+            continue
         _, side_a, pa, side_b, pb = plan
         nodes = tree.levels[level + 1]
-        for j in _bits(side_a):
-            pairs.append((nodes[j], subject.append(0)))
-        for j in _bits(side_b):
-            pairs.append((nodes[j], subject.append(1)))
-        emit(pa, subject.append(0), level + 1)
-        emit(pb, subject.append(1), level + 1)
-
-    emit(top, EMPTY, -1)
+        for side, side_plan, bit in ((side_a, pa, 0), (side_b, pb, 1)):
+            below = subject.append(bit)
+            pairs.extend((nodes[j], below) for j in _bits(side))
+            stack.append((side_plan, below, level + 1))
     return True, Labelling(pairs)
+
+
+def _realize(spans, desc, memo: dict, group: int, level: int):
+    """Plan for one subject on `group` plus all deeper subjects below it.
+
+    A module-level function rather than a closure: a recursive closure holds
+    itself through its cell, which would leave every call's memo to the
+    cyclic collector.
+    """
+    k = len(spans)
+    if level == k - 1:
+        return ("leaf",)
+    key = (level, group)
+    if key in memo:
+        return memo[key]
+    plan = None
+    members = _bits(group)
+    rows = desc[level + 1]
+    # cheap necessary condition: enough descendants for the subject tree below
+    if all(sum(rows[j][d] for j in members) >= 1 << d for d in range(1, k - level)):
+        children = 0
+        for j in members:
+            r = spans[level + 1][j]
+            children |= (1 << r.stop) - (1 << r.start)
+        head = children & -children
+        rest = children ^ head
+        sub = 0
+        while sub != rest:  # every split with both sides nonempty, in numeric order
+            pa = _realize(spans, desc, memo, head | sub, level + 1)
+            if pa is not None:
+                pb = _realize(spans, desc, memo, rest ^ sub, level + 1)
+                if pb is not None:
+                    plan = ("split", head | sub, pa, rest ^ sub, pb)
+                    break
+            sub = (sub - rest) & rest
+    memo[key] = plan
+    return plan
 
 
 def _bits(mask: int) -> list[int]:
@@ -362,16 +365,15 @@ def splice(
                 f"address capacity exceeded below {survivor}: {len(pooled)} children, "
                 f"{1 << width} slots"
             )
-
-        def relocate(old: BitString, new: BitString) -> None:
+        stack = [(child, survivor + BitString.from_int(rank, width))
+                 for rank, child in enumerate(pooled)]
+        while stack:  # descendants keep their suffixes below the new address
+            old, new = stack.pop()
             moved[old] = new
             i = tree.level_of(old)
             if i + 1 < tree.height:
-                for child in tree.children(old):
-                    relocate(child, new + child.slice(tree.u[i], tree.u[i + 1]))
-
-        for rank, child in enumerate(pooled):
-            relocate(child, survivor + BitString.from_int(rank, width))
+                stack.extend((child, new + child.slice(tree.u[i], tree.u[i + 1]))
+                             for child in tree.children(old))
 
     new_nodes = {moved.get(nd, nd) for nd in tree.nodes if nd != absorbed}
     new_pairs = []
@@ -437,15 +439,8 @@ def _bipartition_patterns(counts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     Complementary patterns describe the same unordered split, so only the
     lexicographically smaller of each pair is produced.
     """
-    def rec(i: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if i == len(counts):
-            yield acc
-            return
-        for a in range(counts[i] + 1):
-            yield from rec(i + 1, acc + (a,))
-
     total = sum(counts)
-    for pattern in rec(0, ()):
+    for pattern in product(*(range(c + 1) for c in counts)):
         size = sum(pattern)
         if size == 0 or size == total:
             continue
@@ -468,70 +463,67 @@ def splice_reduce(tree: UTree) -> ReduceResult:
         if tree.level_count(i) < (1 << (i + 1)):
             return ReduceResult(False)
 
-    fail: set[tuple[int, tuple]] = set()
-    win: dict[tuple[int, tuple], tuple[int, ...]] = {}
-
-    def reduce_group(group: list[_Cluster], level: int) -> list[tuple[int, int, int]] | None:
-        """Reduce sibling clusters to exactly two survivors, full binary above each."""
-        if len(group) < 2:
-            return None
-        group = sorted(group)
-        if level == k - 1:
-            return _merges(group[1:], level)
-        shapes = tuple(c.shape for c in group)
-        key = (level, shapes)
-        if key in fail:
-            return None
-        for d in range(k - 1 - level):
-            if sum(c.desc[d] for c in group) < 1 << (d + 2):
-                fail.add(key)
-                return None
-        # distinct shape classes with multiplicities
-        classes: list[tuple[tuple, int]] = []
-        for s in shapes:
-            if classes and classes[-1][0] == s:
-                classes[-1] = (s, classes[-1][1] + 1)
-            else:
-                classes.append((s, 1))
-        counts = tuple(c for _, c in classes)
-
-        def attempt(pattern: tuple[int, ...]) -> list[tuple[int, int, int]] | None:
-            side_a: list[_Cluster] = []
-            side_b: list[_Cluster] = []
-            pos = 0
-            for (_, n), a in zip(classes, pattern):
-                side_a.extend(group[pos:pos + a])
-                side_b.extend(group[pos + a:pos + n])
-                pos += n
-            deeper_a = reduce_group([c for s in side_a for c in s.children], level + 1)
-            if deeper_a is None:
-                return None
-            deeper_b = reduce_group([c for s in side_b for c in s.children], level + 1)
-            if deeper_b is None:
-                return None
-            return _merges(side_a, level) + _merges(side_b, level) + deeper_a + deeper_b
-
-        known = win.get(key)
-        if known is not None:
-            got = attempt(known)
-            if got is None:  # pragma: no cover - shape memo must be sound
-                raise InternalError("memoized split failed to replay")
-            return got
-        for pattern in _bipartition_patterns(counts):
-            got = attempt(pattern)
-            if got is not None:
-                win[key] = pattern
-                return got
-        fail.add(key)
-        return None
-
-    merges = reduce_group(_clusters(tree), 0)
+    merges = _reduce_group(_clusters(tree), 0, k, set(), {})
     if merges is None:
         return ReduceResult(False)
     words = tree.levels
     return ReduceResult(True, tuple(
         SpliceStep(lv, words[lv][a], words[lv][b], words[lv][a]) for lv, a, b in merges
     ))
+
+
+def _reduce_group(
+    group: list[_Cluster], level: int, k: int, fail: set, win: dict
+) -> list[tuple[int, int, int]] | None:
+    """Reduce sibling clusters to exactly two survivors, full binary above each.
+
+    `fail` holds the (level, shapes) keys known to fail and `win` the split
+    that succeeded for each known success.  A module-level function rather
+    than a closure, so a call leaves no reference cycle behind.
+    """
+    if len(group) < 2:
+        return None
+    group = sorted(group)
+    if level == k - 1:
+        return _merges(group[1:], level)
+    shapes = tuple(c.shape for c in group)
+    key = (level, shapes)
+    if key in fail:
+        return None
+    for d in range(k - 1 - level):
+        if sum(c.desc[d] for c in group) < 1 << (d + 2):
+            fail.add(key)
+            return None
+    # distinct shape classes with multiplicities
+    classes: list[tuple[tuple, int]] = []
+    for s in shapes:
+        if classes and classes[-1][0] == s:
+            classes[-1] = (s, classes[-1][1] + 1)
+        else:
+            classes.append((s, 1))
+    known = win.get(key)
+    patterns = (known,) if known is not None else _bipartition_patterns(
+        tuple(c for _, c in classes))
+    for pattern in patterns:
+        side_a: list[_Cluster] = []
+        side_b: list[_Cluster] = []
+        pos = 0
+        for (_, n), a in zip(classes, pattern):
+            side_a.extend(group[pos:pos + a])
+            side_b.extend(group[pos + a:pos + n])
+            pos += n
+        deeper_a = _reduce_group([c for s in side_a for c in s.children], level + 1, k, fail, win)
+        if deeper_a is None:
+            continue
+        deeper_b = _reduce_group([c for s in side_b for c in s.children], level + 1, k, fail, win)
+        if deeper_b is None:
+            continue
+        win[key] = pattern
+        return _merges(side_a, level) + _merges(side_b, level) + deeper_a + deeper_b
+    if known is not None:  # pragma: no cover - shape memo must be sound
+        raise InternalError("memoized split failed to replay")
+    fail.add(key)
+    return None
 
 
 def _full_binary_shape(height: int) -> tuple:
@@ -602,18 +594,14 @@ def labelling_from_reduction(tree: UTree, steps: Iterable[SpliceStep]) -> Labell
         children.append({nd: sorted(v) for nd, v in buckets.items()})
 
     pairs: list[tuple[BitString, BitString]] = []
-
-    def assign(cluster: BitString, level: int, subject: BitString) -> None:
-        for original in members[level][cluster]:
-            pairs.append((original, subject))
+    roots = sorted(members[0])
+    stack = [(roots[0], 0, BitString("0")), (roots[1], 0, BitString("1"))]
+    while stack:  # each cluster member inherits its cluster's subject
+        cluster, level, subject = stack.pop()
+        pairs.extend((original, subject) for original in members[level][cluster])
         if level + 1 < k:
             lo, hi = children[level][cluster]
-            assign(lo, level + 1, subject.append(0))
-            assign(hi, level + 1, subject.append(1))
-
-    roots = sorted(members[0])
-    assign(roots[0], 0, BitString("0"))
-    assign(roots[1], 0, BitString("1"))
+            stack += [(lo, level + 1, subject.append(0)), (hi, level + 1, subject.append(1))]
     return Labelling(pairs)
 
 

@@ -109,6 +109,8 @@ class Schedule:
 
 def _prefix_sum(sums: list, term: Callable[[int], object], n: int):
     """sums[n], extending the cached prefix sums with term(k) as far as needed."""
+    if n < 0:
+        raise PreconditionError(f"negative block count {n}")
     while len(sums) <= n:
         k = len(sums) - 1
         sums.append(sums[-1] + term(k))

@@ -256,8 +256,8 @@ def test_criterion_8_vt_machinery(report):
     runs = 0
     witnesses = 0
     for seed in range(50):
-        stages, u_sets, g, n = random_vt_instance(seed, t_max=3)
-        result = vt_construction(stages, u_sets, lambda t: g[t], n, 3)
+        P, u_sets, g, n = random_vt_instance(seed, t_max=3)
+        result = vt_construction(P, u_sets, lambda t: g[t], n, 3)
         runs += 1
         product = ONE
         for t in range(1, len(result.levels)):

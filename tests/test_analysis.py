@@ -13,7 +13,7 @@ from cantorcode.analysis import (
     vt_construction,
 )
 from cantorcode.bits import BitString, Dyadic, ONE
-from cantorcode.clopen import ApproxSequence, ClopenClass, prune, random_class
+from cantorcode.clopen import ClopenClass, prune, random_class
 from cantorcode.errors import PreconditionError
 from cantorcode.schedules import preset
 
@@ -64,16 +64,16 @@ class TestLeftmostAndLeftSets:
 
 class TestVtConstruction:
     def test_t_max_zero(self):
-        stages, u_sets, g, n = random_vt_instance(0)
-        result = vt_construction(stages, u_sets, lambda t: g[t], n, 0)
+        P, u_sets, g, n = random_vt_instance(0)
+        result = vt_construction(P, u_sets, lambda t: g[t], n, 0)
         assert len(result.levels) == 1
         assert result.levels[0].cover == ClopenClass.full(n[0])
         assert result.witness is None
 
     @pytest.mark.parametrize("seed", range(10))
     def test_measure_decay_and_product_bound(self, seed):
-        stages, u_sets, g, n = random_vt_instance(seed)
-        result = vt_construction(stages, u_sets, lambda t: g[t], n, len(g))
+        P, u_sets, g, n = random_vt_instance(seed)
+        result = vt_construction(P, u_sets, lambda t: g[t], n, len(g))
         product = ONE
         for t, lv in enumerate(result.levels):
             if t == 0:
@@ -86,11 +86,11 @@ class TestVtConstruction:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_witness_density_bound(self, seed):
-        stages, u_sets, g, n = random_vt_instance(seed)
-        result = vt_construction(stages, u_sets, lambda t: g[t], n, len(g))
+        P, u_sets, g, n = random_vt_instance(seed)
+        result = vt_construction(P, u_sets, lambda t: g[t], n, len(g))
         assert result.witness is not None
         t = result.witness_t
-        assert result.witness == stages.final.leftmost(n[t])
+        assert result.witness == P.leftmost(n[t])
         assert result.witness_density <= Dyadic.pow2(-g[t])
 
     def test_unit_overhead_witness(self):
@@ -98,10 +98,9 @@ class TestVtConstruction:
         x = B("000011")
         members = {x} | {B.from_int(v, 6) for v in (13, 40, 41, 59)}
         final = ClopenClass.from_members(6, members)
-        stages = ApproxSequence((final,))
         n = [2, 4, 6]
         u_sets = left_sets_for_levels(final, n)
-        result = vt_construction(stages, u_sets, lambda t: 1, n, 2)
+        result = vt_construction(final, u_sets, lambda t: 1, n, 2)
         assert result.witness_t == 1
         assert result.witness == B("0000")
         assert result.witness_threshold == Dyadic(1, 1)
@@ -114,7 +113,7 @@ class TestVtConstruction:
         final = ClopenClass.from_members(6, members)
         n = [2, 4, 6]
         result = vt_construction(
-            ApproxSequence((final,)),
+            final,
             left_sets_for_levels(final, n),
             lambda t: 0,
             n,
@@ -128,23 +127,21 @@ class TestVtConstruction:
         assert result.witness_density <= ONE
 
     def test_level_spacing_precondition(self):
-        stages, u_sets, g, n = random_vt_instance(1)
+        P, u_sets, g, n = random_vt_instance(1)
         with pytest.raises(PreconditionError, match="too close"):
-            vt_construction(stages, u_sets, lambda t: 99, n, len(g))
+            vt_construction(P, u_sets, lambda t: 99, n, len(g))
 
     def test_path_outside_level_sets_rejected(self):
         final = cls(3, "101")
-        stages = ApproxSequence((final,))
         bad_u = [ClopenClass.full(0), cls(2, "00"), ClopenClass.full(3).keep_leftmost(1)]
         with pytest.raises(PreconditionError, match="not inside the level sets"):
-            vt_construction(stages, bad_u, lambda t: 0, [0, 2, 3], 2)
+            vt_construction(final, bad_u, lambda t: 0, [0, 2, 3], 2)
 
     def test_heavy_level_set_rejected(self):
         final = ClopenClass.full(3)
-        stages = ApproxSequence((final,))
         with pytest.raises(PreconditionError, match="too heavily"):
             vt_construction(
-                stages,
+                final,
                 [ClopenClass.full(0), ClopenClass.full(2), ClopenClass.full(3)],
                 lambda t: 0,
                 [0, 2, 3],

@@ -185,6 +185,27 @@ class TestBadNumbers:
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1 and err.startswith("error: 'utf-8' codec can't decode")
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("bits", "-5", "error: code file bits must lie in [0, M(3)] = [0, 6], got -5"),
+        ("bits", "100", "error: code file bits must lie in [0, M(3)] = [0, 6], got 100"),
+        ("levels", "-1", "error: code file levels must be non-negative, got -1"),
+    ])
+    def test_out_of_range_code_field_exit_2(self, workdir, capsys, field, value, message):
+        src = workdir / "source.txt"
+        src.write_text("1011\n")
+        code = workdir / "code.txt"
+        assert run("encode", "--class", "full:16", "--schedule", "gacs",
+                   "--source", str(src), "--out", str(code)) == 0
+        lines = code.read_text().splitlines()
+        code.write_text("".join(
+            f"{field}={value}\n" if line.startswith(f"{field}=") else line + "\n"
+            for line in lines
+        ))
+        capsys.readouterr()
+        assert run("decode", "--class", "full:16", "--schedule", "gacs",
+                   "--code", str(code)) == 2
+        assert capsys.readouterr().err.splitlines() == [message]
+
 
 class TestDeepAndLargeClasses:
     def test_prune_refuses_to_list_a_capped_class(self, workdir, capsys):

@@ -15,6 +15,7 @@ from cantorcode.labeltree import (
     Labelling,
     SpliceStep,
     UTree,
+    _bipartition_patterns,
     is_full_labelling,
     is_fully_labelable_bruteforce,
     is_isomorphic_to_full_binary,
@@ -355,6 +356,31 @@ class TestSearchCost:
             tracemalloc.stop()
         assert reducible > 100
         assert retained < 32 * 1024
+
+    @pytest.mark.parametrize("call", [
+        "bruteforce", "splice_reduce", "labelling_from_reduction", "splice", "build_tree",
+        "bipartition_patterns",
+    ])
+    def test_calls_leave_no_cyclic_garbage(self, call):
+        """Each call frees what it built by reference counting alone."""
+        tree = fixture_trees()["labelable_eight_chains"]
+        steps = splice_reduce(tree).steps
+        a, b = tree.levels[0][:2]
+        run = {
+            "bruteforce": lambda: is_fully_labelable_bruteforce(tree),
+            "splice_reduce": lambda: splice_reduce(tree),
+            "labelling_from_reduction": lambda: labelling_from_reduction(tree, steps),
+            "splice": lambda: splice(tree, None, a, b),
+            "build_tree": lambda: build_tree((((),),) * 8),
+            "bipartition_patterns": lambda: list(_bipartition_patterns((2, 3, 1))),
+        }[call]
+        gc.collect()
+        gc.disable()
+        try:
+            run()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestLabellingFromReduction:

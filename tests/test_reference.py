@@ -20,7 +20,6 @@ from cantorcode.analysis import (
 )
 from cantorcode.bits import BitString, Dyadic, ONE, dyadic_sum
 from cantorcode.clopen import (
-    ApproxSequence,
     ClopenClass,
     prune,
     verify_density_property,
@@ -362,7 +361,7 @@ def test_vt_chain_matches_reference(seed):
         return
     final = to_class(members, depth)
     u_sets = [left_sets(final, length) for length in n]
-    result = vt_construction(ApproxSequence((final,)), u_sets, lambda t: g[t], n, 2)
+    result = vt_construction(final, u_sets, lambda t: g[t], n, 2)
 
     # reference chain with explicit sets
     u_strs = [{str(s) for s in u.members()} for u in u_sets]

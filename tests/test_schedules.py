@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantorcode.bits import Dyadic, ONE
+from cantorcode.clopen import ClopenClass, prune
 from cantorcode.errors import InputError, PreconditionError
 from cantorcode.schedules import (
     ceil_2log2,
@@ -54,6 +55,16 @@ class TestPresets:
         s = preset("custom", [1], [2])
         with pytest.raises(PreconditionError, match="beyond explicit schedule"):
             s.m(1)
+
+    def test_negative_block_count_rejected(self):
+        s = preset("gacs")
+        assert s.L(3) == 16
+        for boundary in (s.M, s.L, s.budget):
+            for n in (-1, -2):
+                with pytest.raises(PreconditionError, match=f"negative block count {n}"):
+                    boundary(n)
+        with pytest.raises(PreconditionError, match="negative block count -1"):
+            prune(ClopenClass.full(16), s, -1)
 
     def test_parse_spec(self):
         assert parse_schedule_spec("kucera").name == "kucera"
