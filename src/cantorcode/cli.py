@@ -1,9 +1,10 @@
 """Command-line surface: reproducible runs over the package's stable file formats.
 
 Exit codes: 0 success, 1 a verification reported a failure, 2 input error,
-3 precondition or budget error, 4 internal invariant violation.  All generated
-artifacts are plain UTF-8 text; CSV files carry a header row.  Given identical
-flags (including --seed), every command writes byte-identical artifacts.
+3 precondition or budget error, 4 internal error: a broken invariant, or any
+other exception that escapes a command.  All generated artifacts are plain
+UTF-8 text; CSV files carry a header row.  Given identical flags (including
+--seed), every command writes byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -309,10 +310,11 @@ def cmd_fixtures(args) -> int:
     import os
 
     os.makedirs(args.out_dir, exist_ok=True)
-    for name, tree in sorted(fixture_trees().items()):
+    trees = fixture_trees()
+    for name, tree in sorted(trees.items()):
         path = os.path.join(args.out_dir, f"{name}.txt")
         _write(path, render_tree_text(tree))
-    print(f"wrote {len(fixture_trees())} fixture trees to {args.out_dir}")
+    print(f"wrote {len(trees)} fixture trees to {args.out_dir}")
     return EXIT_OK
 
 
@@ -426,6 +428,9 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION
     except InternalError as e:
         print(f"internal error: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as e:  # anything else escaping a command is a bug
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

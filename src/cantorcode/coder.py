@@ -15,6 +15,7 @@ holds the j-th least), and records exactly how much oracle it consulted per bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from .bits import BitString, EMPTY, Dyadic
 from .clopen import ApproxSequence, ClopenClass, PruneResult, prune
@@ -56,13 +57,15 @@ def settle_words(
     sigma: BitString,
     stages: ApproxSequence | None = None,
 ) -> WordTable:
-    """Run the slot-filling stage process to its fixpoint and freeze the table.
+    """Run the slot-filling stage process to its fixpoint and check the table.
 
-    With `stages` supplied, assignments are made against the stage current at
-    each step and slots are cleared when their word loses all extensions; the
-    final stage must equal P; only such a staged run records a history.  Raises
-    when the fixpoint leaves a slot open, which happens exactly when sigma has
-    fewer than 2^(m_i) extendible extensions at the next boundary.
+    With `stages` supplied, step s = 1, 2, ... makes one event against
+    `stages.at(s)`: it clears the least slot whose word has lost all extensions,
+    or fills the least open slot with the least fresh extendible extension; a
+    step with no such slot moves on to the next stage, and ends the run at the
+    final stage, which must equal P.  Only a staged run records a history.
+    Raises when the fixpoint leaves a slot open, which happens exactly when
+    sigma has fewer than 2^(m_i) extendible extensions at the next boundary.
     """
     level = sched.block_index(len(sigma), code=True)
     if sched.L(level) != len(sigma):
@@ -83,42 +86,25 @@ def settle_words(
         # first 2^(m_i) extendible extensions in slot order.
         for slot, cand in zip(range(nslots), P.extendible_extensions(sigma, width)):
             words[slot] = cand
-        return _freeze(P, sigma, level, words, history)
-    step = 1
-    while True:
-        cls = stages.at(step)
-        target = None
-        for t in range(nslots):
-            w = words[t]
-            if w is None or not cls.is_extendible(w):
-                target = t
-                break
-        if target is None:
-            if cls != P:
-                step += 1  # drain remaining stages so the fixpoint is against P
-                continue
-            break
-        w = words[target]
-        if w is not None and not cls.is_extendible(w):
-            words[target] = None
-            history.append(TableEvent(step, target, "clear", w))
-        else:
-            taken = {x for x in words if x is not None}
-            fresh = None
-            for cand in cls.extendible_extensions(sigma, width):
-                if cand not in taken:
-                    fresh = cand
+    else:
+        for step in count(1):
+            cls = stages.at(step)
+            slot = next((t for t, w in enumerate(words)
+                         if w is None or not cls.is_extendible(w)), None)
+            if slot is None:
+                if cls == P:  # else drain the stages left, so the fixpoint is against P
                     break
-            if fresh is None:
-                break  # no unused extension left; the open-slot check reports it
-            words[target] = fresh
-            history.append(TableEvent(step, target, "assign", fresh))
-        step += 1
-    return _freeze(P, sigma, level, words, history)
-
-
-def _freeze(P: ClopenClass, sigma: BitString, level: int,
-            words: list[BitString | None], history: list[TableEvent]) -> WordTable:
+            elif (w := words[slot]) is not None:
+                words[slot] = None
+                history.append(TableEvent(step, slot, "clear", w))
+            else:
+                taken = set(words)
+                fresh = next((c for c in cls.extendible_extensions(sigma, width)
+                              if c not in taken), None)
+                if fresh is None:
+                    break  # no unused extension left; the open-slot check reports it
+                words[slot] = fresh
+                history.append(TableEvent(step, slot, "assign", fresh))
     if any(w is None for w in words):
         raise PreconditionError(f"extension property violated at {sigma or 'the root'}")
     slots = tuple(words)  # type: ignore[arg-type]

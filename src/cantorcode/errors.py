@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all modules.
 
 The CLI maps these onto exit codes: InputError -> 2, PreconditionError -> 3,
-InternalError -> 4.  Anything else escaping a command is a bug.
+InternalError -> 4.  Any other exception escaping a command is a bug, and the
+CLI reports it as an internal error with exit code 4 as well.
 """
 
 from __future__ import annotations

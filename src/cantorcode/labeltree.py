@@ -526,18 +526,10 @@ def _reduce_group(
     return None
 
 
-def _full_binary_shape(height: int) -> tuple:
-    shape: tuple = ()
-    for _ in range(height):
-        shape = (shape, shape)
-    return shape
-
-
 def is_isomorphic_to_full_binary(tree: UTree) -> bool:
-    """Partial-order isomorphism with the full binary tree of the same height,
-    decided by comparing sorted child-count profiles recursively."""
-    want = _full_binary_shape(tree.height)
-    return tuple(sorted(c.shape for c in _clusters(tree))) == want
+    """Partial-order isomorphism with the full binary tree of the same height:
+    every node above the last level has exactly two children."""
+    return all(len(r) == 2 for ranges in tree.spans for r in ranges)
 
 
 # -- converse direction: labels from a reduction --------------------------------

@@ -34,11 +34,17 @@ REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture()
-def report(capsys):
+def report(capsys, pytestconfig):
+    # each line starts at column 0, after whatever progress output pytest has
+    # left on the current line, so `grep '^CRITERION'` finds every one of them
+    writer = pytestconfig.get_terminal_writer()
+
     def emit(criterion: int, ok: bool, detail: str) -> None:
-        line = f"CRITERION {criterion}: {'PASS' if ok else 'FAIL'} - {detail}"
         with capsys.disabled():
-            print(line, flush=True)
+            if writer.width_of_current_line:
+                writer.line()
+            writer.line(f"CRITERION {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
+            writer.flush()
 
     return emit
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from cantorcode import cli
 from cantorcode.bits import BitString
 from cantorcode.cli import main
 from cantorcode.clopen import ClopenClass, save_class
@@ -372,6 +373,17 @@ class TestReportAndVt:
         assert run("vt-run", "--seed", "3", "--out", str(out)) == 0
         assert out.read_text().splitlines()[0] == "t,length,count,measure,decay_bound"
         assert "witness at t=" in capsys.readouterr().out
+
+    def test_unexpected_exception_exit_4(self, workdir, monkeypatch, capsys):
+        # an exception from outside the package's hierarchy is a bug: one
+        # "internal error:" line and exit 4, not a traceback and exit 1
+        def deep(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "random_vt_instance", deep)
+        assert run("vt-run", "--seed", "3", "--out", str(workdir / "vt.csv")) == 4
+        err = capsys.readouterr().err
+        assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
 
     def test_vt_density_mode(self, workdir):
         out = workdir / "density.csv"

@@ -282,6 +282,23 @@ class TestSpliceReduce:
     def test_isomorphism_check(self):
         assert is_isomorphic_to_full_binary(full_binary((2, 4, 6)))
         assert not is_isomorphic_to_full_binary(fixture_trees()["labelable_eight_chains"])
+        # the check agrees with the nested shape of the full binary tree on the
+        # fixtures, random trees, and full embeddings at random level lengths,
+        # half of them with one leaf removed
+        rng = random.Random(41)
+        trees = list(fixture_trees().values()) + [random_utree(rng) for _ in range(2000)]
+        for _ in range(200):
+            height = rng.randint(1, 4)
+            tree = full_binary(tuple(sorted(rng.sample(range(1, 3 * height + 1), height))))
+            if rng.random() < 0.5:
+                tree = UTree(tree.u, tree.nodes - {rng.choice(tree.levels[-1])})
+            trees.append(tree)
+        full = [()]
+        while len(full) <= 4:
+            full.append((full[-1], full[-1]))
+        agree = [_shape_of(t) == full[t.height] for t in trees]
+        assert [is_isomorphic_to_full_binary(t) for t in trees] == agree
+        assert 0 < sum(agree) < len(trees)
 
     def test_concrete_splice_matches_reduction_engine(self):
         # applying a witness step with the concrete operation must preserve

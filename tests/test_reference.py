@@ -20,12 +20,14 @@ from cantorcode.analysis import (
 )
 from cantorcode.bits import BitString, Dyadic, ONE, dyadic_sum
 from cantorcode.clopen import (
+    ApproxSequence,
     ClopenClass,
     prune,
     verify_density_property,
     verify_extension_property,
 )
 from cantorcode.coder import decode, encode, settle_words
+from cantorcode.errors import PreconditionError
 from cantorcode.labeltree import UTree, is_fully_labelable_bruteforce, splice_reduce
 from cantorcode.schedules import Schedule, preset
 
@@ -296,6 +298,76 @@ def test_word_tables_match_reference(seed):
         return
     table = settle_words(c, sched, B(""))
     assert [str(w) for w in table.slots] == want
+
+
+def n_staged_settle(stages: list[frozenset[str]], sigma: str, m: int, width: int):
+    """Reference stage process.  Step s = 1, 2, ... reads stage min(s, last), so stage 0
+    is never read, and makes one event: it clears the least slot whose word has no
+    member left, or fills the least empty slot with the least live width-bit extension
+    of sigma that no slot holds.  A step with neither only moves on to the next stage;
+    at the last stage it ends the run, and so does an empty slot with nothing to fill
+    it.  Returns the slots, None for an empty one, and the (stage, slot, op, word)
+    events."""
+    slots: list[str | None] = [None] * (1 << m)
+    history = []
+    s = 0
+    while True:
+        s += 1
+        live = stages[min(s, len(stages) - 1)]
+        bad = [t for t, w in enumerate(slots) if w is None or not n_extendible(live, w)]
+        if not bad:
+            if live == stages[-1]:
+                return slots, history
+            continue
+        t = bad[0]
+        if slots[t] is not None:
+            history.append((s, t, "clear", slots[t]))
+            slots[t] = None
+            continue
+        fresh = sorted({w[:width] for w in live if w.startswith(sigma)} - set(slots))
+        if not fresh:
+            return slots, history
+        slots[t] = fresh[0]
+        history.append((s, t, "assign", fresh[0]))
+
+
+def test_staged_tables_match_reference():
+    seen = {"table": 0, "open slot": 0, "dead sigma": 0, "clear": 0, "drain": 0}
+    for seed in range(300):
+        rng = random.Random(seed + 1700)
+        m = [rng.randint(1, 2) for _ in range(2)]
+        l = [mi + rng.randint(0, 2) for mi in m]
+        sched = preset("custom", m, l)
+        depth = sched.L(2)
+        stages = [n_members(depth, rng, rng.choice([0.6, 0.9, 1.0]))]
+        for _ in range(rng.randint(0, 5)):
+            stages.append(frozenset(w for w in sorted(stages[-1]) if rng.random() < 0.85))
+        if not stages[0]:
+            continue
+        level = rng.randint(0, 1)
+        sigma = rng.choice(sorted(stages[0]))[: sched.L(level)]
+        approx = ApproxSequence(tuple(to_class(st, depth) for st in stages))
+        run = lambda: settle_words(approx.final, sched, B(sigma), stages=approx)  # noqa: E731
+        if not n_extendible(stages[-1], sigma):
+            seen["dead sigma"] += 1
+            with pytest.raises(PreconditionError, match="is not extendible in the class"):
+                run()
+            continue
+        slots, history = n_staged_settle(stages, sigma, m[level], sched.L(level + 1))
+        seen["clear"] += any(op == "clear" for _, _, op, _ in history)
+        seen["drain"] += any(b[0] - a[0] > 1 for a, b in zip(history, history[1:]))
+        if None in slots:
+            seen["open slot"] += 1
+            with pytest.raises(PreconditionError) as err:
+                run()
+            assert str(err.value) == f"extension property violated at {sigma or 'the root'}"
+            continue
+        seen["table"] += 1
+        table = run()
+        assert [str(w) for w in table.slots] == slots
+        assert [(e.stage, e.slot, e.op, str(e.word)) for e in table.history] == history
+    # the sample reaches every outcome, clears words, and drains stages between events
+    assert all(seen.values()), seen
 
 
 @pytest.mark.parametrize("seed", range(16))
