@@ -34,8 +34,7 @@ __all__ = [
 def truncate_class(c: ClopenClass, threshold: Dyadic) -> ClopenClass:
     """Largest lexicographic initial segment of c with measure at most threshold:
     its floor(threshold * 2^depth) least members, all of them if it has fewer."""
-    quota = threshold.shifted(c.depth)
-    return c.keep_leftmost(quota.num >> quota.exp)
+    return c.keep_leftmost((threshold.num << c.depth) >> threshold.exp)
 
 
 def left_sets(P: ClopenClass, i: int) -> ClopenClass:
@@ -46,21 +45,10 @@ def left_sets(P: ClopenClass, i: int) -> ClopenClass:
     exactly here rather than assumed.
     """
     u = ClopenClass.full(i).keep_leftmost(P.leftmost(i).as_int + 1)
-    meet = _meet_measure(P, u)
+    meet = P.meet_measure(u)
     if meet > Dyadic.pow2(-i) and i > 0:
         raise InternalError(f"left set at length {i} meets the class with measure {meet}")
     return u
-
-
-def _meet_measure(P: ClopenClass, u: ClopenClass) -> Dyadic:
-    """Measure of the part of P below some member of u (u is shallower than P).
-
-    Lifting u to P's depth turns each member into its cylinder, so the bound
-    stays cheap even when u holds exponentially many strings.
-    """
-    if u.depth > P.depth:
-        raise PreconditionError("level set deeper than the class")
-    return P.intersect(u.lift(P.depth)).measure()
 
 
 @dataclass(frozen=True)
@@ -111,7 +99,7 @@ def vt_construction(
     for t in range(t_max + 1):
         if U[t].depth != n[t]:
             raise PreconditionError(f"level set {t} has depth {U[t].depth}, expected {n[t]}")
-        if _meet_measure(P, U[t]) > Dyadic.pow2(-n[t]):
+        if P.meet_measure(U[t]) > Dyadic.pow2(-n[t]):
             raise PreconditionError(f"level set {t} meets the class too heavily")
 
     x = P.leftmost(P.depth)
@@ -123,11 +111,12 @@ def vt_construction(
     levels = [VtLevel(0, n[0], cover, ONE)]
     for t in range(t_max):
         budget_rel = ONE - Dyadic.pow2(-g(t) - 1)  # kept fraction of each cylinder
+        threshold = budget_rel.shifted(-n[t])
         nxt = ClopenClass.empty(n[t + 1])
         for sigma in cover.extendible_strings(n[t]):
-            below = U[t + 1].part_below(sigma)
-            kept = truncate_class(below, budget_rel.shifted(-n[t]))
-            nxt = nxt.union(kept)
+            # below a sigma that U[t+1] misses, the kept part is empty
+            if U[t + 1].is_extendible(sigma):
+                nxt = nxt.union(truncate_class(U[t + 1].part_below(sigma), threshold))
         bound = budget_rel * cover.measure()
         if nxt.measure() > bound:
             raise InternalError(

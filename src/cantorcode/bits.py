@@ -158,10 +158,10 @@ class Dyadic:
             raise ValueError(f"dyadic parts must be non-negative, got {num}/2^{exp}")
         if num == 0:
             exp = 0
-        else:
-            while exp > 0 and num % 2 == 0:
-                num //= 2
-                exp -= 1
+        elif exp and not num & 1:  # one shift; odd numerators and integers skip it
+            zeros = min((num & -num).bit_length() - 1, exp)
+            num >>= zeros
+            exp -= zeros
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "exp", exp)
 

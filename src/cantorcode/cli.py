@@ -141,6 +141,7 @@ def cmd_decode(args) -> int:
         raise InputError("code file needs bits=, levels= and code= lines") from None
     if levels < 0:
         raise InputError(f"code file levels must be non-negative, got {levels}")
+    sched.check_depth(levels, P.depth)  # before M(levels), which grows with levels
     if not 0 <= bits <= sched.M(levels):
         raise InputError(f"code file bits must lie in [0, M({levels})] = "
                          f"[0, {sched.M(levels)}], got {bits}")
@@ -281,6 +282,8 @@ def cmd_vt_run(args) -> int:
             raise InputError("vt-run --mode density needs --class, --schedule, --levels")
         P = _load_class_spec(args.class_spec)
         sched = parse_schedule_spec(args.schedule)
+        if args.levels:  # the lengths run to L(levels - 1)
+            sched.check_depth(args.levels - 1, P.depth)
         lengths = [sched.L(i) for i in range(args.levels)]
         rows = density_threshold_experiment(P, sched.g, lengths)
         lines = ["level,min_density,threshold,result"]

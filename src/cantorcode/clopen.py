@@ -65,12 +65,23 @@ def _count(node, height: int) -> int:
 
 
 def _make(left, right, height: int):
-    """Canonical node of the given height over two children one level lower."""
-    if left is _FULL and right is _FULL:
-        return _FULL
-    if left is _EMPTY and right is _EMPTY:
-        return _EMPTY
-    return (left, right, _count(left, height - 1) + _count(right, height - 1))
+    """Canonical node of the given height over two children one level lower, with the
+    children's counts read inline (this is the trie's hottest call)."""
+    if left is _FULL:
+        if right is _FULL:
+            return _FULL
+        nl = 1 << (height - 1)
+    elif left is _EMPTY:
+        if right is _EMPTY:
+            return _EMPTY
+        nl = 0
+    else:
+        nl = left[2]
+    if right is _FULL:
+        return (left, right, nl + (1 << (height - 1)))
+    if right is _EMPTY:
+        return (left, right, nl)
+    return (left, right, nl + right[2])
 
 
 def _split(node):
@@ -104,10 +115,15 @@ def _put(node, value: int, length: int, height: int, leaf):
         else:
             siblings.append(node[1])
             node = node[0]
-    sub = leaf
+    # rejoin with the running count n of sub, adding each sibling's count on the way up
+    sub, n = leaf, (1 << (height - length)) if leaf is _FULL else 0
     for h in range(height - length + 1, height + 1):
         sibling = siblings.pop()
-        sub = _make(sibling, sub, h) if value & 1 else _make(sub, sibling, h)
+        if sibling is sub:  # equal constant children make that constant (a built sub is new)
+            n <<= 1
+        else:
+            n += (1 << (h - 1)) if sibling is _FULL else sibling[2] if sibling else 0
+            sub = (sibling, sub, n) if value & 1 else (sub, sibling, n)
         value >>= 1
     return sub
 
@@ -139,13 +155,6 @@ def _minus(a, b, height: int):
         return a
     aa = _split(a)
     return _make(_minus(aa[0], b[0], height - 1), _minus(aa[1], b[1], height - 1), height)
-
-
-def _lift(node, shift: int):
-    """The same cylinders with every count taken `shift` levels deeper."""
-    if node is _FULL or node is _EMPTY:
-        return node
-    return (_lift(node[0], shift), _lift(node[1], shift), node[2] << shift)
 
 
 def _subset(a, b) -> bool:
@@ -211,16 +220,25 @@ def _ext_count(node, depth: int) -> int:
 
 
 def _take_leftmost(node, height: int, quota: int):
-    """Trie keeping only the `quota` lexicographically least members."""
-    if quota <= 0 or node is _EMPTY:
+    """Trie keeping only the `quota` lexicographically least members, by a loop down the
+    one path where the quota splits a node: each node rebuilt on it holds the quota left
+    there, beside an empty right child or the whole left one."""
+    if quota <= 0:
         return _EMPTY
-    if quota >= _count(node, height):
-        return node
-    left, right = _split(node)
-    nl = _count(left, height - 1)
-    if quota <= nl:
-        return _make(_take_leftmost(left, height - 1, quota), _EMPTY, height)
-    return _make(left, _take_leftmost(right, height - 1, quota - nl), height)
+    path = []
+    while node is not _EMPTY and quota < ((1 << height) if node is _FULL else node[2]):
+        height -= 1
+        left, right = (node, node) if node is _FULL else (node[0], node[1])
+        nl = (1 << height) if left is _FULL else left[2] if left else 0
+        if quota <= nl:
+            path.append((None, quota))
+            node = left
+        else:
+            path.append((left, quota))
+            node, quota = right, quota - nl
+    for left, kept in reversed(path):
+        node = (node, _EMPTY, kept) if left is None else (left, node, kept)
+    return node
 
 
 # -- the public class --------------------------------------------------------
@@ -381,16 +399,35 @@ class ClopenClass:
         self._check_len(s)
         value, length = s.as_int, len(s)
         sub = _at(self._root, value, length)
-        for height in range(self.depth - length + 1, self.depth + 1):
-            sub = _make(_EMPTY, sub, height) if value & 1 else _make(sub, _EMPTY, height)
+        if sub is _EMPTY:
+            return ClopenClass.empty(self.depth)
+        n = _count(sub, self.depth - length)  # every node above sub holds just its members
+        for _ in range(length):
+            sub = (_EMPTY, sub, n) if value & 1 else (sub, _EMPTY, n)
             value >>= 1
         return ClopenClass(self.depth, sub)
 
-    def lift(self, depth: int) -> "ClopenClass":
-        """The depth-`depth` class in which each member becomes its cylinder."""
-        if depth < self.depth:
-            raise PreconditionError(f"cannot lift a depth-{self.depth} class to depth {depth}")
-        return ClopenClass(depth, _lift(self._root, depth - self.depth))
+    def meet_measure(self, u: "ClopenClass") -> Dyadic:
+        """Measure of the part of the class below some member of the shallower class u,
+        by one stack walk over both tries that only counts: below a full node of u the
+        whole subtree counts, and a full node of this class meets u's node in all of its
+        members, each one a cylinder of 2^(depth - u.depth) words."""
+        if u.depth > self.depth:
+            raise PreconditionError("level set deeper than the class")
+        shift, total = self.depth - u.depth, 0
+        stack = [(self._root, u._root, self.depth)]
+        while stack:
+            a, b, height = stack.pop()
+            if a is _EMPTY or b is _EMPTY:
+                continue
+            if b is _FULL:
+                total += _count(a, height)
+            elif a is _FULL:
+                total += b[2] << shift
+            else:
+                stack.append((a[0], b[0], height - 1))
+                stack.append((a[1], b[1], height - 1))
+        return Dyadic(total, self.depth)
 
     def union(self, other: "ClopenClass") -> "ClopenClass":
         self._same_depth(other)
@@ -563,10 +600,7 @@ def prune(P: ClopenClass, sched: "Schedule", levels: int) -> PruneResult:
     acted on next.  The acts are therefore exactly those of a rescan from level
     0 after each act, in the same order.
     """
-    if sched.L(levels) > P.depth:
-        raise PreconditionError(
-            f"class depth {P.depth} is shallower than L({levels}) = {sched.L(levels)}"
-        )
+    sched.check_depth(levels, P.depth)
     budget = sched.budget(levels)
     if not budget < P.measure():
         raise PreconditionError(
@@ -629,8 +663,7 @@ class PropertyVerdict:
 def verify_extension_property(C: ClopenClass, sched: "Schedule", levels: int) -> PropertyVerdict:
     """Every extendible string at L_i must have at least 2^(m_i) extendible
     extensions of length L_{i+1}, for each i < levels."""
-    if sched.L(levels) > C.depth:
-        raise PreconditionError("string deeper than class approximation")
+    sched.check_depth(levels, C.depth)
     lengths = [sched.L(i) for i in range(levels)]
     for i, mixed in enumerate(_mixed_levels(C._root, lengths)):
         li, need = lengths[i], 1 << sched.m(i)
@@ -645,8 +678,7 @@ def verify_extension_property(C: ClopenClass, sched: "Schedule", levels: int) ->
 
 def verify_density_property(C: ClopenClass, sched: "Schedule", levels: int) -> PropertyVerdict:
     """Every extendible string at L_i must have density at least 2^(m_i - l_i)."""
-    if sched.L(levels) > C.depth:
-        raise PreconditionError("string deeper than class approximation")
+    sched.check_depth(levels, C.depth)
     lengths = [sched.L(i) for i in range(levels)]
     for i, densities in enumerate(C.mixed_densities(lengths)):
         li, thr = lengths[i], Dyadic.pow2(sched.m(i) - sched.l(i))

@@ -128,8 +128,7 @@ class CodePath:
 def encode(X: BitString, P: ClopenClass, sched: Schedule) -> CodePath:
     """Build the code word for X block by block; X must end on a block boundary."""
     n = sched.blocks_for_source(len(X))
-    if sched.L(n) > P.depth:
-        raise PreconditionError(f"class depth {P.depth} shallower than L({n}) = {sched.L(n)}")
+    sched.check_depth(n, P.depth)
     y = EMPTY
     slots: list[int] = []
     for i in range(n):
@@ -167,10 +166,9 @@ def decode(Y: BitString, P: ClopenClass, sched: Schedule, n: int) -> DecodeResul
     The oracle is consulted through a tracker, so the returned per-bit use is
     measured, not assumed; only the prefix of length L(n) is ever touched.
     """
+    sched.check_depth(n, P.depth)
     if len(Y) < sched.L(n):
         raise PreconditionError(f"oracle too short: {len(Y)} < L({n}) = {sched.L(n)}")
-    if sched.L(n) > P.depth:
-        raise PreconditionError(f"class depth {P.depth} shallower than L({n}) = {sched.L(n)}")
     oracle = _Oracle(Y)
     x = EMPTY
     uses: list[int] = []

@@ -96,6 +96,17 @@ class Schedule:
             boundary(len(sums))
         return bisect_left(sums, bits)
 
+    def check_depth(self, n: int, depth: int) -> None:
+        """Raise unless the first n blocks fit in depth bits, L(n) <= depth.  Every l_i is
+        at least 1, so the sums grow only to the first boundary past depth, or to a
+        finite schedule's length, however large n is."""
+        if self.length is None:
+            fits = n < self.block_index(depth + 1, code=True)
+        else:
+            fits = self.L(n) <= depth  # n beyond the length raises after `length` terms
+        if not fits:
+            raise PreconditionError(f"class depth {depth} shallower than L({n})")
+
     def blocks_for_source(self, bits: int) -> int:
         """n with M(n) == bits, or an error when bits is not a block boundary."""
         n = self.block_index(bits)

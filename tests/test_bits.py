@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -114,6 +116,13 @@ class TestDyadic:
     def test_subtraction_below_zero_rejected(self):
         with pytest.raises(PreconditionError):
             ZERO - ONE
+
+    @given(st.integers(0, 1 << 40), st.integers(0, 60), st.integers(0, 60))
+    def test_scaled_parts_reduce_to_the_same_form(self, num, exp, k):
+        d, scaled = Dyadic(num, exp), Dyadic(num << k, exp + k)
+        assert (scaled.num, scaled.exp) == (d.num, d.exp)
+        assert d.exp == 0 or d.num % 2 == 1  # lowest terms
+        assert Fraction(d.num, 1 << d.exp) == Fraction(num, 1 << exp)
 
     @given(dyadics(), dyadics())
     def test_add_sub_exact(self, x, y):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -206,6 +207,31 @@ class TestBadNumbers:
         assert run("decode", "--class", "full:16", "--schedule", "gacs",
                    "--code", str(code)) == 2
         assert capsys.readouterr().err.splitlines() == [message]
+
+    @pytest.mark.parametrize("command", ["prune", "verify", "vt-run"])
+    def test_huge_levels_flag_exit_3_at_once(self, capsys, command):
+        # the depth check reads prefix sums only up to the class depth, not to --levels
+        extra = ("--mode", "density") if command == "vt-run" else ()
+        start = time.perf_counter()
+        assert run(command, *extra, "--class", "full:40", "--schedule", "kucera",
+                   "--levels", "1000000000") == 3
+        assert time.perf_counter() - start < 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: class depth 40 shallower than L(")
+
+    def test_huge_code_file_levels_exit_3_at_once(self, workdir, capsys):
+        src = workdir / "source.txt"
+        src.write_text("1011\n")
+        code = workdir / "code.txt"
+        assert run("encode", "--class", "full:40", "--schedule", "gacs",
+                   "--source", str(src), "--out", str(code)) == 0
+        code.write_text(code.read_text().replace("levels=3\n", f"levels={10**9}\n"))
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert run("decode", "--class", "full:40", "--schedule", "gacs", "--code", str(code)) == 3
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: class depth 40 shallower than L({10**9})"]
 
 
 class TestDeepAndLargeClasses:

@@ -135,7 +135,7 @@ class TestCountInvariant:
             return B.from_int(data.draw(st.integers(0, (1 << length) - 1)), length)
 
         def fresh():
-            kind = data.draw(st.sampled_from(("from_members", "from_cylinders", "lift")))
+            kind = data.draw(st.sampled_from(("from_members", "from_cylinders", "shallow")))
             if kind == "from_members":
                 words = st.integers(0, (1 << depth) - 1).map(lambda v: B.from_int(v, depth))
                 return ClopenClass.from_members(depth, data.draw(st.sets(words, max_size=12)))
@@ -146,9 +146,7 @@ class TestCountInvariant:
             shallow = ClopenClass.from_cylinders(
                 shallow_depth, [prefix(shallow_depth) for _ in range(data.draw(st.integers(0, 3)))]
             )
-            lifted = shallow.lift(depth)
-            assert lifted == ClopenClass.from_cylinders(depth, shallow.members())
-            return lifted
+            return ClopenClass.from_cylinders(depth, shallow.members())
 
         c = fresh()
         ops = ("minus_cylinder", "part_below", "union", "intersect", "minus", "keep_leftmost")
@@ -160,6 +158,35 @@ class TestCountInvariant:
             else:
                 c = getattr(c, op)(fresh())
             assert recount(c._root, depth) == c.member_count == len(c.members())
+
+
+class TestMeetMeasure:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_meet_walk_equals_member_scan(self, data):
+        depth = data.draw(st.integers(0, 7), label="depth")
+        shallow = data.draw(st.integers(0, depth), label="shallow")
+
+        def draw_class(d, label):
+            kind = data.draw(st.sampled_from(("members", "cylinders", "full")), label=label)
+            if kind == "full":
+                return ClopenClass.full(d)
+            lengths = st.integers(0, d) if kind == "cylinders" else st.just(d)
+            words = lengths.flatmap(
+                lambda n: st.integers(0, (1 << n) - 1).map(lambda v: B.from_int(v, n)))
+            found = data.draw(st.sets(words, max_size=12), label=label)
+            if kind == "cylinders":
+                return ClopenClass.from_cylinders(d, found)
+            return ClopenClass.from_members(d, found)
+
+        P, u = draw_class(depth, "P"), draw_class(shallow, "u")
+        inside = set(u.members())
+        scanned = sum(1 for x in P.members() if x.prefix(shallow) in inside)
+        assert P.meet_measure(u) == Dyadic(scanned, depth)
+
+    def test_deeper_set_rejected(self):
+        with pytest.raises(PreconditionError, match="level set deeper than the class"):
+            ClopenClass.full(3).meet_measure(ClopenClass.full(4))
 
 
 class TestDeepClasses:
@@ -183,6 +210,23 @@ class TestDeepClasses:
         assert list(c.extendible_strings(3000)) == [path]
         assert list(c.extendible_extensions(path.prefix(10), 2999)) == [path.prefix(2999)]
         assert c.extension_rank(B(""), path) == 0
+
+    def test_keep_leftmost_at_depth_3000(self):
+        p = B("01" * 1500)
+        q = p.prefix(2999).append(0)
+        c = ClopenClass.from_members(3000, [p, q])
+        assert c.keep_leftmost(1).members() == [q]
+        assert c.keep_leftmost(2) == c and c.keep_leftmost(0).is_empty()
+
+    def test_meet_measure_at_depth_3000(self):
+        p = B("01" * 1500)
+        q = p.prefix(2999).append(0)
+        c = ClopenClass.from_members(3000, [p, q])
+        assert c.meet_measure(ClopenClass.from_members(2999, [p.prefix(2999)])) == Dyadic(2, 3000)
+        assert c.meet_measure(ClopenClass.from_members(3000, [p])) == Dyadic(1, 3000)
+        assert c.meet_measure(ClopenClass.full(1500).minus_cylinder(p.prefix(1500))).is_zero()
+        assert ClopenClass.full(3000).meet_measure(ClopenClass.from_members(2000, [p.prefix(2000)])) \
+            == Dyadic(1, 2000)
 
     def test_minus_cylinder_at_depth_5000(self):
         deep = B("10" * (self.DEPTH // 2))
