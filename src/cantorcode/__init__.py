@@ -34,7 +34,6 @@ from .labeltree import (
     load_tree,
     measure_condition_check,
     save_tree,
-    splice,
     splice_reduce,
     validate_labelling,
 )

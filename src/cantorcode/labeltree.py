@@ -17,6 +17,7 @@ in the test suite.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple
@@ -32,9 +33,7 @@ __all__ = [
     "ReduceResult",
     "MeasureCondition",
     "validate_labelling",
-    "is_full_labelling",
     "is_fully_labelable_bruteforce",
-    "splice",
     "splice_reduce",
     "labelling_from_reduction",
     "measure_condition_check",
@@ -43,12 +42,12 @@ __all__ = [
     "render_tree_text",
     "load_tree",
     "save_tree",
-    "parse_labelling_text",
     "render_labelling_text",
     "random_utree",
 ]
 
 BRUTE_FORCE_HEIGHT_CAP = 4
+MAX_LEVEL_SPREAD = 14_000
 
 
 class UTree:
@@ -57,7 +56,8 @@ class UTree:
     Level i's nodes are indexed 0..n_i-1 in lex order, which for words of one
     length is integer order, so the children of a node are a contiguous index
     range of the next level: `spans[i + 1][j]` for node j of level i, and
-    `spans[0][0]` for the root.
+    `spans[0][0]` for the root.  `index[i]` maps the integer value of a
+    level-i word to its index.
     """
 
     def __init__(self, u: Iterable[int], nodes: Iterable[BitString]):
@@ -78,11 +78,14 @@ class UTree:
         self.levels: tuple[tuple[BitString, ...], ...] = tuple(
             tuple(sorted(by_length[x], key=lambda nd: nd.value)) for x in u
         )
-        self._level_of = {x: i for i, x in enumerate(u)}
+        self.index: tuple[dict[int, int], ...] = tuple(
+            {nd.value: j for j, nd in enumerate(level)} for level in self.levels
+        )
+        self._level_of = {0: -1} | {x: i for i, x in enumerate(u)}  # the root is level -1
         spans = [(range(len(self.levels[0])),)]
         for i in range(len(u) - 1):
             width = u[i + 1] - u[i]
-            index = {nd.value: j for j, nd in enumerate(self.levels[i])}
+            index = self.index[i]
             starts = [0] * (len(index) + 1)
             for child in self.levels[i + 1]:
                 j = index.get(child.value >> width)
@@ -93,29 +96,10 @@ class UTree:
                 starts[j + 1] += starts[j]
             spans.append(tuple(range(a, b) for a, b in zip(starts, starts[1:])))
         self.spans: tuple[tuple[range, ...], ...] = tuple(spans)
-        self._children: dict[BitString, tuple[BitString, ...]] = dict.fromkeys(self.levels[-1], ())
-        for parents, below, ranges in zip(((EMPTY,),) + self.levels, self.levels, spans):
-            for nd, r in zip(parents, ranges):
-                self._children[nd] = below[r.start:r.stop]
 
     @property
     def height(self) -> int:
         return len(self.u)
-
-    def level_of(self, node: BitString) -> int:
-        """0-based level index; the root is level -1."""
-        if node == EMPTY:
-            return -1
-        return self._level_of[len(node)]
-
-    def children(self, node: BitString) -> tuple[BitString, ...]:
-        return self._children[node]
-
-    def parent(self, node: BitString) -> BitString:
-        i = self.level_of(node)
-        if i < 0:
-            raise PreconditionError("the root has no parent")
-        return EMPTY if i == 0 else node.prefix(self.u[i - 1])
 
     def level_count(self, i: int) -> int:
         return len(self.levels[i])
@@ -136,14 +120,6 @@ class Labelling:
 
     def __init__(self, pairs: Iterable[tuple[BitString, BitString]] = ()):
         self.pairs: tuple[tuple[BitString, BitString], ...] = tuple(sorted(pairs))
-
-    def as_dict(self) -> dict[BitString, BitString]:
-        out: dict[BitString, BitString] = {}
-        for node, subject in self.pairs:
-            if node in out:
-                raise PreconditionError(f"node {node} carries two labels")
-            out[node] = subject
-        return out
 
     def subjects(self) -> set[BitString]:
         return {subject for _, subject in self.pairs}
@@ -172,62 +148,46 @@ class LabelVerdict:
 def validate_labelling(tree: UTree, lab: Labelling) -> LabelVerdict:
     """Check the five labelling conditions; report the first violated one.
 
-    Duplicate subjects on incomparable nodes are allowed and surfaced as an
-    advisory, since only the per-node uniqueness condition forbids anything.
+    Each labelled node is located once as (level, value), the root at level
+    -1, and the conditions run on those integers.  Duplicate subjects on
+    incomparable nodes are allowed and surfaced as an advisory, since only the
+    per-node uniqueness condition forbids anything.
     """
-    nodes = [nd for nd, _ in lab.pairs]
-    for nd in nodes:
-        if nd not in tree.nodes:
-            raise PreconditionError(f"labelled node {nd} is not in the tree")
-    # (1) only level nodes carry labels (the root never does)
+    located = []
     for nd, _ in lab.pairs:
-        if len(nd) not in tree._level_of:
+        i = tree._level_of.get(len(nd))
+        if i is None or i >= 0 and nd.value not in tree.index[i]:
+            raise PreconditionError(f"labelled node {nd} is not in the tree")
+        located.append((i, nd.value))
+    # (1) only level nodes carry labels (the root never does)
+    for (i, _), (nd, _) in zip(located, lab.pairs):
+        if i < 0:
             return LabelVerdict(False, 1, nd)
     # (2) a level-i node carries a subject of length i+1
-    for nd, subject in lab.pairs:
-        if len(subject) != tree.level_of(nd) + 1:
+    for (i, _), (nd, subject) in zip(located, lab.pairs):
+        if len(subject) != i + 1:
             return LabelVerdict(False, 2, nd)
     # (3) a subject of length j forces all subjects of length <= j to appear
-    present = {subject for _, subject in lab.pairs}
-    if present:
-        deepest = max(len(s) for s in present)
-        for j in range(1, deepest + 1):
-            for v in range(1 << j):
-                if BitString.from_int(v, j) not in present:
-                    return LabelVerdict(False, 3, BitString.from_int(v, j))
+    counts = Counter((len(subject), subject.value) for _, subject in lab.pairs)
+    per_length = Counter(j for j, _ in counts)
+    for j in range(1, max(per_length, default=0) + 1):
+        if per_length[j] < 1 << j:
+            v = next(v for v in range(1 << j) if (j, v) not in counts)
+            return LabelVerdict(False, 3, BitString.from_int(v, j))
     # (4) at most one label per node
-    seen: set[BitString] = set()
-    for nd, _ in lab.pairs:
-        if nd in seen:
+    table: dict[tuple[int, int], int] = {}  # (level, value) -> subject value
+    for key, (nd, subject) in zip(located, lab.pairs):
+        if key in table:
             return LabelVerdict(False, 4, nd)
-        seen.add(nd)
+        table[key] = subject.value
     # (5) the subject of a node extends the subject of its parent
-    table = dict(lab.pairs)
-    for nd, subject in lab.pairs:
-        i = tree.level_of(nd)
+    for (i, value), (nd, subject) in zip(located, lab.pairs):
         if i > 0:
-            parent = tree.parent(nd)
-            if table.get(parent) != subject.prefix(i):
+            up = (i - 1, value >> (tree.u[i] - tree.u[i - 1]))
+            if table.get(up) != subject.value >> 1:
                 return LabelVerdict(False, 5, nd)
-    advisories = []
-    by_subject: dict[BitString, int] = {}
-    for _, subject in lab.pairs:
-        by_subject[subject] = by_subject.get(subject, 0) + 1
-    for subject in sorted(s for s, c in by_subject.items() if c > 1):
-        advisories.append(f"duplicate subject {subject}")
-    return LabelVerdict(True, advisories=tuple(advisories))
-
-
-def is_full_labelling(tree: UTree, lab: Labelling) -> bool:
-    """Valid and covering: every subject up to the tree height appears."""
-    if not validate_labelling(tree, lab):
-        return False
-    present = lab.subjects()
-    return all(
-        BitString.from_int(v, j) in present
-        for j in range(1, tree.height + 1)
-        for v in range(1 << j)
-    )
+    repeated = sorted(BitString.from_int(v, j) for (j, v), c in counts.items() if c > 1)
+    return LabelVerdict(True, advisories=tuple(f"duplicate subject {s}" for s in repeated))
 
 
 # -- decider 1: exhaustive labelling search ------------------------------------
@@ -314,7 +274,7 @@ def _bits(mask: int) -> list[int]:
     return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
-# -- splice operation (concrete, re-addressing) --------------------------------
+# -- decider 2: search over splice sequences ------------------------------------
 
 
 @dataclass(frozen=True)
@@ -325,68 +285,6 @@ class SpliceStep:
     left: BitString
     right: BitString
     survivor: BitString
-
-
-def splice(
-    tree: UTree,
-    lab: Labelling | None,
-    n1: BitString,
-    n2: BitString,
-) -> tuple[UTree, Labelling]:
-    """Merge two sibling nodes into the lexicographically smaller one.
-
-    The merged node's upper subtree is the disjoint union of both subtrees:
-    the pooled children are re-addressed order-preservingly onto extensions of
-    the survivor (descendants keep their relative suffixes).  Labels transfer
-    with the move; two labelled siblings may only merge when their subjects
-    coincide.
-    """
-    if n1 == n2 or n1 not in tree.nodes or n2 not in tree.nodes:
-        raise PreconditionError("splice needs two distinct tree nodes")
-    if len(n1) != len(n2) or tree.level_of(n1) < 0:
-        raise PreconditionError(f"{n1} and {n2} are not siblings")
-    level = tree.level_of(n1)
-    if tree.parent(n1) != tree.parent(n2):
-        raise PreconditionError(f"{n1} and {n2} are not siblings")
-    survivor, absorbed = (n1, n2) if n1 < n2 else (n2, n1)
-
-    label_map = lab.as_dict() if lab is not None else {}
-    s1, s2 = label_map.get(n1), label_map.get(n2)
-    if s1 is not None and s2 is not None and s1 != s2:
-        raise PreconditionError(f"label conflict: {n1} carries {s1}, {n2} carries {s2}")
-    merged_subject = s1 if s1 is not None else s2
-
-    moved: dict[BitString, BitString] = {absorbed: survivor}
-    if level + 1 < tree.height:
-        pooled = sorted(tree.children(n1) + tree.children(n2))
-        width = tree.u[level + 1] - tree.u[level]
-        if len(pooled) > (1 << width):
-            raise PreconditionError(
-                f"address capacity exceeded below {survivor}: {len(pooled)} children, "
-                f"{1 << width} slots"
-            )
-        stack = [(child, survivor + BitString.from_int(rank, width))
-                 for rank, child in enumerate(pooled)]
-        while stack:  # descendants keep their suffixes below the new address
-            old, new = stack.pop()
-            moved[old] = new
-            i = tree.level_of(old)
-            if i + 1 < tree.height:
-                stack.extend((child, new + child.slice(tree.u[i], tree.u[i + 1]))
-                             for child in tree.children(old))
-
-    new_nodes = {moved.get(nd, nd) for nd in tree.nodes if nd != absorbed}
-    new_pairs = []
-    for nd, subject in label_map.items():
-        if nd in (n1, n2):
-            continue
-        new_pairs.append((moved.get(nd, nd), subject))
-    if merged_subject is not None:
-        new_pairs.append((survivor, merged_subject))
-    return UTree(tree.u, new_nodes), Labelling(new_pairs)
-
-
-# -- decider 2: search over splice sequences ------------------------------------
 
 
 @dataclass(frozen=True)
@@ -540,61 +438,64 @@ def labelling_from_reduction(tree: UTree, steps: Iterable[SpliceStep]) -> Labell
 
     Each surviving node of the reduced tree is a cluster of original nodes;
     labelling the binary copy and letting every cluster member inherit its
-    cluster's subject yields a full labelling of the original tree.
+    cluster's subject yields a full labelling of the original tree.  The
+    replay is one union-find per level over node indices, each cluster
+    represented by its smallest index; words are made once, at the end.
     """
     k = tree.height
-    members: list[dict[BitString, set[BitString]]] = [
-        {nd: {nd} for nd in tree.levels[i]} for i in range(k)
-    ]
-    parent: list[dict[BitString, BitString]] = [
-        {nd: tree.parent(nd) for nd in tree.levels[i]} for i in range(k)
-    ]
+    # parent[i][j]: the level-(i-1) index of node j's parent (0, the root, for level 0)
+    parent = [[p for p, r in enumerate(ranges) for _ in r] for ranges in tree.spans]
+    rep = [list(range(tree.level_count(i))) for i in range(k)]
     for step in steps:
         lv = step.level
         if not 0 <= lv < k:
             raise PreconditionError(f"invalid steps: no level {lv}")
-        lvl = members[lv]
-        if step.left not in lvl or step.right not in lvl or step.left == step.right:
+        reps = rep[lv]
+        a, b = (tree.index[lv].get(w.value) if len(w) == tree.u[lv] else None
+                for w in (step.left, step.right))
+        if a is None or b is None or a == b or reps[a] != a or reps[b] != b:
             raise PreconditionError(f"invalid steps: {step.left}/{step.right} not mergeable")
-        if parent[lv][step.left] != parent[lv][step.right]:
+        if lv and _find(rep[lv - 1], parent[lv][a]) != _find(rep[lv - 1], parent[lv][b]):
             raise PreconditionError(f"invalid steps: {step.left} and {step.right} not siblings")
-        if step.survivor != min(step.left, step.right):
+        a, b = min(a, b), max(a, b)
+        if step.survivor != tree.levels[lv][a]:
             raise PreconditionError("invalid steps: survivor must be the smaller identity")
-        absorbed = max(step.left, step.right)
-        lvl[step.survivor] = lvl[step.survivor] | lvl[absorbed]
-        del lvl[absorbed]
-        del parent[lv][absorbed]
-        if lv + 1 < k:
-            for child, par in list(parent[lv + 1].items()):
-                if par == absorbed:
-                    parent[lv + 1][child] = step.survivor
+        reps[b] = a
 
     # the reduced tree must be an exact binary copy
-    children: list[dict[BitString, list[BitString]]] = []
-    for i in range(k):
-        if len(members[i]) != (1 << (i + 1)):
+    roots = [[j for j, r in enumerate(reps) if r == j] for reps in rep]
+    for i, survivors in enumerate(roots):
+        if len(survivors) != (1 << (i + 1)):
             raise PreconditionError(
-                f"invalid steps: level {i} reduced to {len(members[i])} nodes, "
+                f"invalid steps: level {i} reduced to {len(survivors)} nodes, "
                 f"expected {1 << (i + 1)}"
             )
-    for i in range(k - 1):
-        buckets: dict[BitString, list[BitString]] = {nd: [] for nd in members[i]}
-        for child, par in parent[i + 1].items():
-            buckets[par].append(child)
-        if any(len(v) != 2 for v in buckets.values()):
+    # subject values of the survivors: a survivor's children, in index order,
+    # extend its subject by 0 and by 1
+    value = [[0] * tree.level_count(i) for i in range(k)]
+    value[0][roots[0][1]] = 1
+    for i in range(1, k):
+        taken = [0] * tree.level_count(i - 1)
+        for c in roots[i]:
+            p = _find(rep[i - 1], parent[i][c])
+            value[i][c] = value[i - 1][p] << 1 | taken[p]
+            taken[p] += 1
+        if any(taken[p] != 2 for p in roots[i - 1]):
             raise PreconditionError("invalid steps: reduced tree is not binary")
-        children.append({nd: sorted(v) for nd, v in buckets.items()})
 
     pairs: list[tuple[BitString, BitString]] = []
-    roots = sorted(members[0])
-    stack = [(roots[0], 0, BitString("0")), (roots[1], 0, BitString("1"))]
-    while stack:  # each cluster member inherits its cluster's subject
-        cluster, level, subject = stack.pop()
-        pairs.extend((original, subject) for original in members[level][cluster])
-        if level + 1 < k:
-            lo, hi = children[level][cluster]
-            stack += [(lo, level + 1, subject.append(0)), (hi, level + 1, subject.append(1))]
+    for i in range(k):  # each cluster member inherits its cluster's subject
+        subject = {c: BitString.from_int(value[i][c], i + 1) for c in roots[i]}
+        pairs.extend((nd, subject[_find(rep[i], j)]) for j, nd in enumerate(tree.levels[i]))
     return Labelling(pairs)
+
+
+def _find(rep: list[int], j: int) -> int:
+    """The representative of j's cluster, halving the path on the way."""
+    while rep[j] != j:
+        rep[j] = rep[rep[j]]
+        j = rep[j]
+    return j
 
 
 # -- sufficient measure condition ------------------------------------------------
@@ -608,8 +509,18 @@ class MeasureCondition:
 
 
 def measure_condition_check(tree: UTree) -> MeasureCondition:
-    """Deepest-level measure against the level series sum of 2^(i - u_i)."""
+    """Deepest-level measure against the level series sum of 2^(i - u_i).
+
+    The sum's numerator is about as wide as the level spread u_{k-1} - (k-1) -
+    u_0 in bits, so a spread above MAX_LEVEL_SPREAD is refused before the sum
+    is built; that also keeps its decimal form under CPython's default limit
+    of 4,300 digits.
+    """
     k = tree.height
+    spread = tree.u[-1] - (k - 1) - tree.u[0]
+    if spread > MAX_LEVEL_SPREAD:
+        raise PreconditionError(
+            f"series sum too wide: level spread {spread} exceeds {MAX_LEVEL_SPREAD}")
     series = dyadic_sum(Dyadic.pow2(i - tree.u[i]) for i in range(k))
     meas = Dyadic(tree.level_count(k - 1), tree.u[k - 1])
     return MeasureCondition(series, meas, series < meas)
@@ -657,20 +568,6 @@ def load_tree(path) -> UTree:
 def save_tree(tree: UTree, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(render_tree_text(tree))
-
-
-def parse_labelling_text(text: str) -> Labelling:
-    pairs = []
-    for k, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if "->" not in line:
-            raise InputError(f"bad labelling line {k}: {line!r}")
-        left, right = (part.strip() for part in line.split("->", 1))
-        node = EMPTY if left == "-" else BitString(left)
-        pairs.append((node, BitString(right)))
-    return Labelling(pairs)
 
 
 def render_labelling_text(lab: Labelling) -> str:

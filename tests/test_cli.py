@@ -233,6 +233,28 @@ class TestBadNumbers:
         assert capsys.readouterr().err.splitlines() == [
             f"error: class depth 40 shallower than L({10**9})"]
 
+    @pytest.mark.parametrize("top", [15000, 10**9])
+    def test_wide_level_spread_exit_3_at_once(self, workdir, capsys, top):
+        # the spread u_1 - 1 - u_0 bounds the width of the series sum before it is built
+        tree = workdir / "tree.txt"
+        tree.write_text(f"u: 1 {top}\n-\n0\n1\n")
+        start = time.perf_counter()
+        assert run("verify", "--tree", str(tree)) == 3
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: series sum too wide: level spread {top - 2} exceeds 14000"]
+
+    def test_level_spread_under_the_bound_still_reports(self, workdir, capsys):
+        tree = workdir / "tree.txt"
+        tree.write_text("u: 1 14000\n-\n0\n1\n")
+        assert run("verify", "--tree", str(tree)) == 1
+        sum_ = f"{(1 << 13998) + 1}/2^13999"
+        assert capsys.readouterr() == (f"measure-condition FAIL: sum {sum_} vs measure 0/2^0\n", "")
+        # consecutive lengths spread 0, however deep: the sum is k/2
+        tree.write_text("u: " + " ".join(map(str, range(1, 20001))) + "\n-\n0\n1\n")
+        assert run("verify", "--tree", str(tree)) == 1
+        assert capsys.readouterr().out == "measure-condition FAIL: sum 10000/2^0 vs measure 0/2^0\n"
+
 
 class TestDeepAndLargeClasses:
     def test_prune_refuses_to_list_a_capped_class(self, workdir, capsys):

@@ -16,20 +16,18 @@ from cantorcode.labeltree import (
     SpliceStep,
     UTree,
     _bipartition_patterns,
-    is_full_labelling,
     is_fully_labelable_bruteforce,
     is_isomorphic_to_full_binary,
     labelling_from_reduction,
     measure_condition_check,
-    parse_labelling_text,
     parse_tree_text,
     random_utree,
     render_labelling_text,
     render_tree_text,
-    splice,
     splice_reduce,
     validate_labelling,
 )
+from test_reference import n_children, n_shape, n_splice, n_words
 
 B = BitString
 
@@ -46,14 +44,20 @@ def identity_labelling(tree: UTree) -> Labelling:
     return Labelling((nd, nd) for nd in tree.nodes if nd != EMPTY)
 
 
+def is_full_labelling(tree: UTree, lab: Labelling) -> bool:
+    """Valid, and every subject of length 1..height appears."""
+    return validate_labelling(tree, lab).ok and len(lab.subjects()) == (2 << tree.height) - 2
+
+
 class TestUTree:
     def test_structure(self):
         t = full_binary((1, 2, 3))
         assert t.height == 3
         assert [t.level_count(i) for i in range(3)] == [2, 4, 8]
-        assert t.children(B("01")) == (B("010"), B("011"))
-        assert t.parent(B("010")) == B("01")
-        assert t.level_of(EMPTY) == -1
+        assert t.index[1] == {0: 0, 1: 1, 2: 2, 3: 3}
+        r = t.spans[2][t.index[1][B("01").value]]  # the children of 01
+        assert t.levels[2][r.start:r.stop] == (B("010"), B("011"))
+        assert t.levels[1][t.index[1][B("010").value >> 1]] == B("01")  # the parent of 010
         assert t.spans == (
             (range(0, 2),),
             (range(0, 2), range(2, 4)),
@@ -134,9 +138,11 @@ class TestValidateLabelling:
             validate_labelling(t, Labelling([(B("11"), B("0"))]))
 
     def test_labelling_text_roundtrip(self):
-        t = full_binary((1, 2))
-        lab = identity_labelling(t)
-        assert parse_labelling_text(render_labelling_text(lab)) == lab
+        lab = identity_labelling(full_binary((1, 2)))
+        text = render_labelling_text(lab)
+        assert text == "0 -> 0\n00 -> 00\n01 -> 01\n1 -> 1\n10 -> 10\n11 -> 11\n"
+        pairs = (line.split(" -> ") for line in text.splitlines())
+        assert Labelling((B(w), B(s)) for w, s in pairs) == lab
 
 
 class TestBruteForce:
@@ -202,50 +208,41 @@ def _grow(t: UTree, rng: random.Random) -> UTree | None:
 
 class TestSplice:
     def test_merge_to_single_path(self):
-        t = full_binary((1,))
-        merged, _ = splice(t, None, B("0"), B("1"))
-        assert merged.nodes == {EMPTY, B("0")}
+        merged, _ = n_splice((1,), n_words(1), None, "0", "1")
+        assert merged == {"0"}
 
     def test_non_siblings_rejected(self):
-        t = full_binary((1, 2))
-        with pytest.raises(PreconditionError, match="not siblings"):
-            splice(t, None, B("00"), B("10"))
-        with pytest.raises(PreconditionError, match="distinct"):
-            splice(t, None, B("0"), B("0"))
+        words = n_words(1, 2)
+        with pytest.raises(ValueError, match="not siblings"):
+            n_splice((1, 2), words, None, "00", "10")
+        with pytest.raises(ValueError, match="distinct"):
+            n_splice((1, 2), words, None, "0", "0")
 
     def test_subtrees_take_disjoint_union(self):
-        t = build_tree(((((),),), (((),),)), (1, 2, 3))  # two chains
-        merged, _ = splice(t, None, B("0"), B("1"))
-        assert merged.level_count(0) == 1
-        assert merged.level_count(1) == 2
-        assert merged.level_count(2) == 2
-        assert merged.children(B("0")) == (B("00"), B("01"))
+        u, chains = (1, 2, 3), frozenset({"0", "00", "000", "1", "10", "100"})
+        merged, _ = n_splice(u, chains, None, "0", "1")
+        assert [sum(len(w) == x for w in merged) for x in u] == [1, 2, 2]
+        assert n_children(u, merged, "0") == ["00", "01"]
 
     def test_address_capacity_error(self):
-        t = full_binary((1, 2, 3))
-        with pytest.raises(PreconditionError, match="address capacity exceeded"):
-            splice(t, None, B("0"), B("1"))  # four pooled children, two slots
+        with pytest.raises(ValueError, match="address capacity exceeded"):
+            n_splice((1, 2, 3), n_words(1, 2, 3), None, "0", "1")  # four pooled, two slots
 
     def test_label_conflict(self):
-        t = full_binary((1,))
-        lab = Labelling([(B("0"), B("0")), (B("1"), B("1"))])
-        with pytest.raises(PreconditionError, match="label conflict"):
-            splice(t, lab, B("0"), B("1"))
+        with pytest.raises(ValueError, match="label conflict"):
+            n_splice((1,), n_words(1), {"0": "0", "1": "1"}, "0", "1")
 
     def test_label_transfer_onto_labelled_sibling(self):
-        t = build_tree(((), ()), (1,))
-        lab = Labelling([(B("0"), B("1"))])
-        merged, moved = splice(t, lab, B("0"), B("1"))
-        assert moved.as_dict() == {B("0"): B("1")}
-        assert merged.nodes == {EMPTY, B("0")}
+        merged, moved = n_splice((1,), n_words(1), {"0": "1"}, "0", "1")
+        assert moved == {"0": "1"}
+        assert merged == {"0"}
 
     def test_moved_descendants_keep_labels(self):
-        t = build_tree((((),), ((),)), (1, 2))
-        lab = Labelling([(B("0"), B("0")), (B("00"), B("00"))])
-        merged, moved = splice(t, lab, B("0"), B("1"))
+        u, words = (1, 2), frozenset({"0", "00", "1", "10"})
+        merged, moved = n_splice(u, words, {"0": "0", "00": "00"}, "0", "1")
         # both level-1 nodes now sit above the survivor, labels carried along
-        assert merged.children(B("0")) == (B("00"), B("01"))
-        assert moved.as_dict()[B("00")] == B("00")
+        assert n_children(u, merged, "0") == ["00", "01"]
+        assert moved["00"] == "00"
 
 
 class TestSpliceReduce:
@@ -301,41 +298,42 @@ class TestSpliceReduce:
         assert 0 < sum(agree) < len(trees)
 
     def test_concrete_splice_matches_reduction_engine(self):
-        # applying a witness step with the concrete operation must preserve
-        # reducibility and merge the sibling subtrees as disjoint union
+        """Applying a witness step with the naive splice preserves reducibility and
+        merges the sibling subtrees as disjoint union."""
         rng = random.Random(31)
         applied = 0
         for _ in range(300):
             raw = random_utree(rng)
             # re-embed at wide level lengths so pooled children always fit
-            t = build_tree(_shape_of(raw), tuple(4 * (i + 1) for i in range(raw.height)))
+            words = frozenset(str(nd) for nd in raw.nodes if len(nd))
+            t = build_tree(n_shape(raw.u, words), tuple(4 * (i + 1) for i in range(raw.height)))
             result = splice_reduce(t)
             if not result.ok or not result.steps:
                 continue
             step = result.steps[0]
-            if step.left not in t.nodes or step.right not in t.nodes:
-                continue
-            before = dict.fromkeys(range(t.height), 0)
-            for i in range(t.height):
-                before[i] = t.level_count(i)
-            merged, _ = splice(t, None, step.left, step.right)
+            words = frozenset(str(nd) for nd in t.nodes if len(nd))
+            merged, _ = n_splice(t.u, words, None, str(step.left), str(step.right))
             applied += 1
-            assert merged.level_count(step.level) == before[step.level] - 1
-            for i in range(t.height):
-                if i != step.level:
-                    assert merged.level_count(i) == before[i]
-            assert splice_reduce(merged).ok
+            for i, x in enumerate(t.u):
+                before = t.level_count(i)
+                assert sum(len(w) == x for w in merged) == before - (i == step.level)
+            assert splice_reduce(UTree(t.u, [B(w) for w in merged])).ok
         assert applied >= 30
 
 
-def _shape_of(tree: UTree, node: BitString = EMPTY) -> tuple:
-    return tuple(sorted(_shape_of(tree, c) for c in tree.children(node)))
+def _shape_of(tree: UTree) -> tuple:
+    """The nested child structure of the tree, each node's children sorted."""
+    shapes: list[tuple] = [()] * tree.level_count(tree.height - 1)
+    for ranges in reversed(tree.spans):
+        shapes = [tuple(sorted(shapes[r.start:r.stop])) for r in ranges]
+    return shapes[0]
 
 
 class TestSearchCost:
     def test_searches_do_not_compare_words(self, seeded_tree, monkeypatch):
-        """Both searches run on level indices: word comparisons and hashes stay
-        within a small multiple of the output, pairs plus steps."""
+        """Both searches and both checks run on level indices: the checks hash
+        no word, and word comparisons stay within a small multiple of the
+        output, pairs plus steps."""
         tree = seeded_tree(9)
         calls = {"lt": 0, "hash": 0}
         lt, hash_ = BitString.__lt__, BitString.__hash__
@@ -352,11 +350,21 @@ class TestSearchCost:
         monkeypatch.setattr(BitString, "__hash__", counted_hash)
         ok, lab = is_fully_labelable_bruteforce(tree)
         result = splice_reduce(tree)
+        searches = dict(calls)
+        calls.update(lt=0, hash=0)
+        verdict = validate_labelling(tree, lab)
+        validated = dict(calls)
+        calls.update(lt=0, hash=0)
+        derived = labelling_from_reduction(tree, result.steps)
+        replayed = dict(calls)
         monkeypatch.undo()
-        assert ok and result.ok
+        assert ok and result.ok and verdict.ok and len(derived) == 62
         assert (len(lab), len(result.steps)) == (62, 32)
+        bound = 4 * (len(lab) + len(result.steps))
         # sorting the 62 witness pairs is the only comparison work left
-        assert calls["lt"] + calls["hash"] <= 4 * (len(lab) + len(result.steps))
+        assert searches["lt"] + searches["hash"] <= bound
+        assert validated["hash"] == replayed["hash"] == 0
+        assert validated["lt"] <= bound and replayed["lt"] <= bound
 
     def test_splice_reduce_retains_no_memory(self, seeded_tree):
         """No cache outlives a call: memory after thousands of distinct trees is flat."""
@@ -375,19 +383,19 @@ class TestSearchCost:
         assert retained < 32 * 1024
 
     @pytest.mark.parametrize("call", [
-        "bruteforce", "splice_reduce", "labelling_from_reduction", "splice", "build_tree",
-        "bipartition_patterns",
+        "bruteforce", "splice_reduce", "labelling_from_reduction", "validate_labelling",
+        "build_tree", "bipartition_patterns",
     ])
     def test_calls_leave_no_cyclic_garbage(self, call):
         """Each call frees what it built by reference counting alone."""
         tree = fixture_trees()["labelable_eight_chains"]
         steps = splice_reduce(tree).steps
-        a, b = tree.levels[0][:2]
+        lab = labelling_from_reduction(tree, steps)
         run = {
             "bruteforce": lambda: is_fully_labelable_bruteforce(tree),
             "splice_reduce": lambda: splice_reduce(tree),
             "labelling_from_reduction": lambda: labelling_from_reduction(tree, steps),
-            "splice": lambda: splice(tree, None, a, b),
+            "validate_labelling": lambda: validate_labelling(tree, lab),
             "build_tree": lambda: build_tree((((),),) * 8),
             "bipartition_patterns": lambda: list(_bipartition_patterns((2, 3, 1))),
         }[call]
@@ -403,8 +411,7 @@ class TestSearchCost:
 class TestLabellingFromReduction:
     def test_full_binary_empty_steps_gives_identity(self):
         t = full_binary((1, 2, 3))
-        lab = labelling_from_reduction(t, ())
-        assert lab.as_dict() == {nd: nd for nd in t.nodes if nd != EMPTY}
+        assert labelling_from_reduction(t, ()) == identity_labelling(t)
 
     def test_reduction_labelling_is_full(self):
         for name, tree in fixture_trees().items():
@@ -427,6 +434,11 @@ class TestLabellingFromReduction:
             labelling_from_reduction(t, bogus)
         with pytest.raises(PreconditionError, match="invalid steps"):
             labelling_from_reduction(t, (SpliceStep(0, B("0"), B("0"), B("0")),))
+        # a node already absorbed cannot merge again
+        fan = build_tree(((), (), ()), (2,))
+        a, b, c = fan.levels[0]
+        with pytest.raises(PreconditionError, match="not mergeable"):
+            labelling_from_reduction(fan, (SpliceStep(0, a, b, a), SpliceStep(0, b, c, b)))
         # a correct merge leaves level 0 short of the binary copy
         with pytest.raises(PreconditionError, match="reduced to 1 nodes"):
             labelling_from_reduction(t, (SpliceStep(0, B("0"), B("1"), B("0")),))

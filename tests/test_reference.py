@@ -8,6 +8,8 @@ divergence points at a real defect on one side.
 from __future__ import annotations
 
 import random
+from collections import Counter
+from dataclasses import replace
 from itertools import islice
 
 import pytest
@@ -28,7 +30,14 @@ from cantorcode.clopen import (
 )
 from cantorcode.coder import decode, encode, settle_words
 from cantorcode.errors import PreconditionError
-from cantorcode.labeltree import UTree, is_fully_labelable_bruteforce, splice_reduce
+from cantorcode.labeltree import (
+    Labelling,
+    UTree,
+    is_fully_labelable_bruteforce,
+    labelling_from_reduction,
+    splice_reduce,
+    validate_labelling,
+)
 from cantorcode.schedules import Schedule, preset
 
 B = BitString
@@ -520,26 +529,32 @@ def n_labellings(u: tuple[int, ...], words: frozenset[str]):
     return rec(0)
 
 
-def n_is_full_labelling(u: tuple[int, ...], words: frozenset[str], pairs) -> bool:
-    """The five labelling conditions plus fullness, checked on strings."""
+def n_every(j: int) -> list[str]:
+    """Every word of length j."""
+    return [format(v, f"0{j}b") for v in range(1 << j)]
+
+
+def n_is_labelling(u: tuple[int, ...], words: frozenset[str], pairs) -> bool:
+    """The five labelling conditions, checked on strings."""
     level = {x: i for i, x in enumerate(u)}
     subjects = {s for _, s in pairs}
     table = dict(pairs)
-
-    def every(j: int) -> list[str]:
-        return [format(v, f"0{j}b") for v in range(1 << j)]
-
-    if not all(s in subjects for j in range(1, len(u) + 1) for s in every(j)):
-        return False  # not full
     return (
         all(w in words and len(w) in level for w, _ in pairs)  # (1)
         and all(len(s) == level[len(w)] + 1 for w, s in pairs)  # (2)
         and all(x in subjects for s in subjects for j in range(1, len(s) + 1)
-                for x in every(j))  # (3)
+                for x in n_every(j))  # (3)
         and len(table) == len(pairs)  # (4)
         and all(level[len(w)] == 0 or table.get(w[:u[level[len(w)] - 1]]) == s[:-1]
                 for w, s in pairs)  # (5)
     )
+
+
+def n_is_full_labelling(u: tuple[int, ...], words: frozenset[str], pairs) -> bool:
+    """A labelling in which every subject up to the tree height appears."""
+    subjects = {s for _, s in pairs}
+    full = all(s in subjects for j in range(1, len(u) + 1) for s in n_every(j))
+    return full and n_is_labelling(u, words, pairs)
 
 
 def test_labelability_deciders_match_reference():
@@ -557,3 +572,130 @@ def test_labelability_deciders_match_reference():
             assert n_is_full_labelling(u, words, pairs)
         verdicts.append(want)
     assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+
+
+def n_labelling_mutants(rng: random.Random, pairs: list[tuple[str, str]]):
+    """The labelling altered to break each condition in turn, where it can be."""
+    out = [pairs + [("", "0")]]  # (1) the root carries a subject
+    if pairs:
+        w, s = rng.choice(pairs)
+        out.append([(x, t + "0" if x == w else t) for x, t in pairs])  # (2) one bit too long
+        if len(s) > 1:  # (2) one bit too short
+            out.append([(x, t[:-1] if x == w else t) for x, t in pairs])
+        out.append([p for p in pairs if p[0] != w])  # (3) a subject may go missing
+        out.append(pairs + [(w, s[:-1] + "10"[int(s[-1])])])  # (4) a second label on w
+    deep = [p for p in pairs if len(p[1]) > 1]
+    if len(deep) > 1:
+        (a, s), (b, t) = rng.sample(deep, 2)
+        if s[:-1] != t[:-1]:  # (5) two subjects swapped across parents, none missing
+            out.append([(x, t if x == a else s if x == b else y) for x, y in pairs])
+    return out
+
+
+def test_labelling_checks_match_reference():
+    """`validate_labelling`, alone and with fullness, accepts exactly what the
+    string model accepts, on enumerated labellings and on mutants breaking
+    each condition."""
+    rng = random.Random(5151)
+    conditions: Counter = Counter()
+    for _ in range(150):
+        u, words = n_random_tree(rng)
+        tree = UTree(u, [B(w) for w in words])
+        every = {s for j in range(1, len(u) + 1) for s in n_every(j)}
+        sample = list(islice(n_labellings(u, words), 30))
+        sample += islice((p for p in n_labellings(u, words) if n_is_full_labelling(u, words, p)), 1)
+        for pairs in sample + [m for p in sample for m in n_labelling_mutants(rng, p)]:
+            lab = Labelling((B(w), B(s)) for w, s in pairs)
+            verdict = validate_labelling(tree, lab)
+            full = {str(s) for s in lab.subjects()} >= every
+            assert verdict.ok == n_is_labelling(u, words, pairs), (u, pairs)
+            assert (verdict.ok and full) == n_is_full_labelling(u, words, pairs), (u, pairs)
+            conditions[verdict.condition if not verdict.ok else "full" if full else "ok"] += 1
+    assert all(conditions[c] >= 10 for c in (1, 2, 3, 4, 5, "ok", "full")), conditions
+
+
+def test_reduction_labellings_match_reference():
+    """A replayed step list either is refused as invalid or yields a labelling
+    the string model accepts as full, however the steps were altered."""
+    rng = random.Random(6262)
+    outcomes: Counter = Counter()
+    for _ in range(400):
+        u, words = n_random_tree(rng)
+        tree = UTree(u, [B(w) for w in words])
+        steps = list(splice_reduce(tree).steps)
+        if not steps:
+            continue
+        variants = [steps, steps[1:], steps[::-1], steps + steps[:1], rng.sample(steps, len(steps))]
+        i = rng.randrange(len(steps))
+        step = steps[i]
+        left, right = sorted(rng.sample(tree.levels[step.level], 2))  # any two of its level
+        variants += [
+            steps[:i] + [replace(step, left=step.right, right=step.left)] + steps[i + 1:],
+            steps[:i] + [replace(step, survivor=max(step.left, step.right))] + steps[i + 1:],
+            steps[:i] + [replace(step, level=step.level + 1)] + steps[i + 1:],
+            steps[:i] + [replace(step, left=left, right=right, survivor=left)] + steps[i + 1:],
+        ]
+        for variant in variants:
+            try:
+                lab = labelling_from_reduction(tree, variant)
+            except PreconditionError as e:
+                assert str(e).startswith("invalid steps"), e
+                outcomes["invalid"] += 1
+                continue
+            pairs = [(str(nd), str(s)) for nd, s in lab.pairs]
+            assert n_is_full_labelling(u, words, pairs), (u, variant)
+            outcomes["full"] += 1
+    assert outcomes["invalid"] >= 50 and outcomes["full"] >= 50, outcomes
+
+
+# -- naive splice over sets of words ---------------------------------------------
+# (the package no longer splices; tests/test_labeltree.py checks these against
+# splice_reduce)
+
+
+def n_children(u: tuple[int, ...], words: frozenset[str], w: str) -> list[str]:
+    """The children of w (the root is ""), in lexicographic order."""
+    deeper = [x for x in u if x > len(w)]
+    return sorted(x for x in words if deeper and len(x) == deeper[0] and x.startswith(w))
+
+
+def n_shape(u: tuple[int, ...], words: frozenset[str], w: str = "") -> tuple:
+    return tuple(sorted(n_shape(u, words, c) for c in n_children(u, words, w)))
+
+
+def n_splice(u: tuple[int, ...], words: frozenset[str], labels: dict[str, str] | None,
+             n1: str, n2: str) -> tuple[frozenset[str], dict[str, str]]:
+    """Merge two sibling nodes into the lexicographically smaller one.
+
+    The pooled children are re-addressed in order below the survivor and their
+    descendants keep their suffixes; labels move with their nodes, and two
+    labelled siblings may only merge when their subjects coincide.
+    """
+    if n1 == n2 or n1 not in words or n2 not in words:
+        raise ValueError("splice needs two distinct tree nodes")
+    up = max((x for x in u if x < len(n1)), default=0)
+    if len(n1) != len(n2) or n1[:up] != n2[:up]:
+        raise ValueError(f"{n1} and {n2} are not siblings")
+    labels = dict(labels or {})
+    s1, s2 = labels.pop(n1, None), labels.pop(n2, None)
+    if s1 is not None and s2 is not None and s1 != s2:
+        raise ValueError(f"label conflict: {n1} carries {s1}, {n2} carries {s2}")
+    survivor, absorbed = min(n1, n2), max(n1, n2)
+    moved = {absorbed: survivor}
+    pooled = sorted(n_children(u, words, n1) + n_children(u, words, n2))
+    if pooled:
+        width = len(pooled[0]) - len(n1)
+        if len(pooled) > 1 << width:
+            raise ValueError(f"address capacity exceeded below {survivor}")
+        for rank, child in enumerate(pooled):
+            new = survivor + format(rank, f"0{width}b")
+            moved.update((w, new + w[len(child):]) for w in words if w.startswith(child))
+    merged = {moved.get(w, w): s for w, s in labels.items()}
+    if s1 is not None or s2 is not None:
+        merged[survivor] = s1 if s1 is not None else s2
+    return frozenset(moved.get(w, w) for w in words if w != absorbed), merged
+
+
+def n_words(*lengths: int) -> frozenset[str]:
+    """Every word of the given lengths: the full binary tree at consecutive lengths."""
+    return frozenset(format(v, f"0{n}b") for n in lengths for v in range(1 << n))
