@@ -112,11 +112,14 @@ def vt_construction(
     for t in range(t_max):
         budget_rel = ONE - Dyadic.pow2(-g(t) - 1)  # kept fraction of each cylinder
         threshold = budget_rel.shifted(-n[t])
+        quota = (threshold.num << n[t + 1]) >> threshold.exp  # members kept below each sigma
         nxt = ClopenClass.empty(n[t + 1])
-        for sigma in cover.extendible_strings(n[t]):
-            # below a sigma that U[t+1] misses, the kept part is empty
-            if U[t + 1].is_extendible(sigma):
-                nxt = nxt.union(truncate_class(U[t + 1].part_below(sigma), threshold))
+        # one truncation walk per maximal cylinder tau of the cover truncates U[t+1]
+        # below every sigma of tau at once; below a tau that U[t+1] misses, nothing is kept
+        for tau in cover.cylinders():
+            piece = U[t + 1].part_below(tau)
+            if not piece.is_empty():
+                nxt = nxt.union(piece.keep_leftmost_below(n[t], quota))
         bound = budget_rel * cover.measure()
         if nxt.measure() > bound:
             raise InternalError(

@@ -361,10 +361,30 @@ class ClopenClass:
             yield BitString.from_int(v, length)
 
     def leftmost(self, length: int) -> BitString:
-        """Lexicographically least extendible word of the given length."""
+        """Lexicographically least extendible word of the given length, by one walk down
+        the left child unless it is empty, shifting in zeros below a full node."""
         if self.is_empty():
             raise PreconditionError("empty class has no extendible strings")
-        return next(self.extendible_strings(length))
+        if not 0 <= length <= self.depth:
+            raise PreconditionError("string deeper than class approximation")
+        node, value = self._root, 0
+        for rest in range(length, 0, -1):
+            if node is _FULL:
+                return BitString.from_int(value << rest, length)
+            node, value = (node[1], value << 1 | 1) if node[0] is _EMPTY else (node[0], value << 1)
+        return BitString.from_int(value, length)
+
+    def cylinders(self) -> Iterator[BitString]:
+        """The class's maximal full cylinders, lexicographically: one stack walk that
+        stops at each full node."""
+        stack = [(self._root, 0, 0)]
+        while stack:
+            node, length, value = stack.pop()
+            if node is _FULL:
+                yield BitString.from_int(value, length)
+            elif node is not _EMPTY:
+                stack.append((node[1], length + 1, value << 1 | 1))
+                stack.append((node[0], length + 1, value << 1))
 
     def mixed_densities(self, lengths) -> Iterator[list[tuple[int, Dyadic]]]:
         """For each of the non-decreasing lengths, (prefix value, density) of each prefix
@@ -448,6 +468,32 @@ class ClopenClass:
     def keep_leftmost(self, quota: int) -> "ClopenClass":
         """The `quota` lexicographically least members (all of them if fewer)."""
         return ClopenClass(self.depth, _take_leftmost(self._root, self.depth, quota))
+
+    def keep_leftmost_below(self, length: int, quota: int) -> "ClopenClass":
+        """Below each length-`length` prefix, its `quota` lexicographically least members,
+        by one stack walk down to that length that joins the kept parts back up."""
+        if not 0 <= length <= self.depth:
+            raise PreconditionError("string deeper than class approximation")
+        low = self.depth - length
+        # lifted[k]: a full node of height low + k, kept below each prefix; each is built once
+        lifted = [_take_leftmost(_FULL, low, quota)]
+        stack, out = [(self._root, self.depth)], []
+        while stack:
+            node, height = stack.pop()
+            if node is None:  # both children are done: join them
+                right = out.pop()
+                out.append(_make(out.pop(), right, height))
+            elif node is _FULL:
+                while len(lifted) <= height - low:
+                    lifted.append(_make(lifted[-1], lifted[-1], low + len(lifted)))
+                out.append(lifted[height - low])
+            elif node is _EMPTY or node[2] <= quota:  # no prefix below holds more than quota
+                out.append(node)
+            elif height == low:
+                out.append(_take_leftmost(node, low, quota))
+            else:
+                stack += ((None, height), (node[1], height - 1), (node[0], height - 1))
+        return ClopenClass(self.depth, out[0])
 
     def _same_depth(self, other: "ClopenClass") -> None:
         if self.depth != other.depth:

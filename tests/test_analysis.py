@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from cantorcode.analysis import (
@@ -125,6 +127,17 @@ class TestVtConstruction:
         assert result.witness is not None
         assert result.witness_threshold == ONE
         assert result.witness_density <= ONE
+
+    def test_depth_3000_chain_steps_by_cylinders(self):
+        # the level-0 cover is full(1500): one cylinder, not 2^1500 strings to walk
+        x = B("0" * 3000)
+        P = ClopenClass.from_members(3000, [x, B("0" * 1499 + "1" * 1501), B("01" * 1500)])
+        n = [1500, 3000]
+        start = time.perf_counter()
+        result = vt_construction(P, left_sets_for_levels(P, n), lambda t: 0, n, 1)
+        assert time.perf_counter() - start < 2
+        assert result.levels[1].cover.members() == [x]  # the left set at 3000 is {x}
+        assert x in result.levels[1].cover and result.witness is None
 
     def test_level_spacing_precondition(self):
         P, u_sets, g, n = random_vt_instance(1)

@@ -83,6 +83,11 @@ class TestMeasureAndMembership:
         assert c.extension_count(B(""), 3) == 3
         assert c.extension_count(B("01"), 3) == 2
         assert c.extension_count(B("1"), 2) == 1
+        assert c.leftmost(0) == B("") and c.leftmost(3) == B("010")
+        assert ClopenClass.full(3).leftmost(2) == B("00")
+        for bad in (-1, 4):
+            with pytest.raises(PreconditionError, match="deeper than class approximation"):
+                c.leftmost(bad)
 
     def test_extension_rank_examples(self):
         c = cls(3, "010", "011", "110")
@@ -149,12 +154,16 @@ class TestCountInvariant:
             return ClopenClass.from_cylinders(depth, shallow.members())
 
         c = fresh()
-        ops = ("minus_cylinder", "part_below", "union", "intersect", "minus", "keep_leftmost")
+        ops = ("minus_cylinder", "part_below", "union", "intersect", "minus", "keep_leftmost",
+               "keep_leftmost_below")
         for op in data.draw(st.lists(st.sampled_from(ops), max_size=10), label="ops"):
             if op in ("minus_cylinder", "part_below"):
                 c = getattr(c, op)(prefix(depth))
             elif op == "keep_leftmost":
                 c = c.keep_leftmost(data.draw(st.integers(0, c.member_count)))
+            elif op == "keep_leftmost_below":
+                length = data.draw(st.integers(0, depth))
+                c = c.keep_leftmost_below(length, data.draw(st.integers(0, 1 << (depth - length))))
             else:
                 c = getattr(c, op)(fresh())
             assert recount(c._root, depth) == c.member_count == len(c.members())
@@ -189,6 +198,66 @@ class TestMeetMeasure:
             ClopenClass.full(3).meet_measure(ClopenClass.full(4))
 
 
+def draw_any_class(data, depth: int) -> ClopenClass:
+    """A full, empty, member-built or cylinder-built class of the given depth."""
+    kind = data.draw(st.sampled_from(("full", "empty", "members", "cylinders")), label="kind")
+    if kind == "full":
+        return ClopenClass.full(depth)
+    if kind == "empty":
+        return ClopenClass.empty(depth)
+    lengths = st.integers(0, depth) if kind == "cylinders" else st.just(depth)
+    words = lengths.flatmap(lambda n: st.integers(0, (1 << n) - 1).map(lambda v: B.from_int(v, n)))
+    found = data.draw(st.sets(words, max_size=12), label=kind)
+    if kind == "cylinders":
+        return ClopenClass.from_cylinders(depth, found)
+    return ClopenClass.from_members(depth, found)
+
+
+class TestCylinderQueries:
+    def test_examples(self):
+        c = cls(3, "000", "001", "010", "100", "101", "110", "111")
+        assert [str(t) for t in c.cylinders()] == ["00", "010", "1"]
+        assert [str(t) for t in ClopenClass.full(3).cylinders()] == [""]
+        assert list(ClopenClass.empty(3).cylinders()) == []
+        assert c.keep_leftmost_below(1, 1) == cls(3, "000", "100")
+        assert c.keep_leftmost_below(2, 1) == cls(3, "000", "010", "100", "110")
+        assert c.keep_leftmost_below(0, 3) == c.keep_leftmost(3)
+        assert c.keep_leftmost_below(3, 1) == c and c.keep_leftmost_below(3, 0).is_empty()
+        with pytest.raises(PreconditionError, match="deeper than class approximation"):
+            c.keep_leftmost_below(4, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_keep_leftmost_below_is_a_union_of_truncations(self, data):
+        depth = data.draw(st.integers(0, 7), label="depth")
+        c = draw_any_class(data, depth)
+        length = data.draw(st.integers(0, depth), label="length")
+        cap = 1 << (depth - length)
+        quota = data.draw(st.one_of(st.just(0), st.integers(0, cap), st.integers(cap, 2 * cap)),
+                          label="quota")
+        want = ClopenClass.empty(depth)
+        for sigma in c.extendible_strings(length):
+            want = want.union(c.part_below(sigma).keep_leftmost(quota))
+        got = c.keep_leftmost_below(length, quota)
+        assert got == want
+        assert recount(got._root, depth) == got.member_count
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_cylinders_are_ordered_disjoint_maximal_and_rebuild_the_class(self, data):
+        depth = data.draw(st.integers(0, 7), label="depth")
+        c = draw_any_class(data, depth)
+        taus = [str(t) for t in c.cylinders()]
+        starts = [t.ljust(depth, "0") for t in taus]
+        assert starts == sorted(set(starts))
+        # the sizes add up to the class only if no two cylinders overlap
+        assert sum(1 << (depth - len(t)) for t in taus) == c.member_count
+        for t in taus:
+            sibling = t[:-1] + ("1" if t[-1:] == "0" else "0")
+            assert t == "" or sibling not in taus  # two full siblings make one full parent
+        assert ClopenClass.from_cylinders(depth, map(B, taus)) == c
+
+
 class TestDeepClasses:
     """Trie writes and listings are loops: classes thousands of levels deep stay usable."""
 
@@ -217,6 +286,26 @@ class TestDeepClasses:
         c = ClopenClass.from_members(3000, [p, q])
         assert c.keep_leftmost(1).members() == [q]
         assert c.keep_leftmost(2) == c and c.keep_leftmost(0).is_empty()
+
+    def test_cylinders_at_depth_3000(self):
+        p = B("01" * 1500)
+        c = ClopenClass.from_cylinders(3000, [B("1"), p.prefix(2000).append(1), p])
+        assert list(c.cylinders()) == [p, p.prefix(2000).append(1), B("1")]
+        rebuilt = ClopenClass.from_cylinders(3000, c.cylinders())
+        assert list(rebuilt.cylinders()) == list(c.cylinders())
+
+    def test_keep_leftmost_below_at_depth_3000(self):
+        p = B("01" * 1500)
+        q = p.prefix(2999).append(0)
+        c = ClopenClass.from_members(3000, [p, q]).union(ClopenClass.full(3000).part_below(B("1")))
+        kept = c.keep_leftmost_below(1500, 1)
+        assert kept.member_count == 1 + (1 << 1499)
+        assert kept.part_below(B("0")).members() == [q]
+        assert kept.part_below(B("1")).leftmost(3000) == B("1" + "0" * 2999)
+        assert not kept.is_extendible(B("1" * 1500 + "1"))
+        assert c.keep_leftmost_below(2999, 1).part_below(B("0")).members() == [q]
+        for length, quota in ((3000, 1), (2999, 2)):  # no prefix holds more than the quota
+            assert list(c.keep_leftmost_below(length, quota).cylinders()) == list(c.cylinders())
 
     def test_meet_measure_at_depth_3000(self):
         p = B("01" * 1500)

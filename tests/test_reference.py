@@ -480,6 +480,70 @@ def test_vt_chain_matches_reference(seed):
         assert result.witness_density <= Dyadic.pow2(-g[exit_t])
 
 
+def n_vt_covers(u_strs: list[set[str]], n: list[int], g: list[int], t_max: int) -> list[set[str]]:
+    """The chain's covers over explicit sets: below each string of a cover, the least
+    strings of the next level set while their measure stays within the kept fraction."""
+    covers = [{format(v, f"0{n[0]}b") if n[0] else "" for v in range(1 << n[0])}]
+    for t in range(t_max):
+        below: dict[str, list[str]] = {}
+        for s in sorted(u_strs[t + 1]):
+            below.setdefault(s[: n[t]], []).append(s)
+        budget = (ONE - Dyadic.pow2(-g[t] - 1)).shifted(-n[t])
+        nxt = set()
+        for sigma in covers[t]:
+            total = Dyadic(0)
+            for s in below.get(sigma, []):
+                if total + Dyadic(1, n[t + 1]) > budget:
+                    break
+                nxt.add(s)
+                total = total + Dyadic(1, n[t + 1])
+        covers.append(nxt)
+    return covers
+
+
+def test_vt_chain_with_padded_level_sets_matches_reference():
+    """Level sets that are left sets plus strings the class does not extend, so the
+    meet bound still holds and U[t+1] is mixed below many strings of each cover."""
+    t_max, mixed = 3, 0
+    for seed in range(12):
+        rng = random.Random(seed + 1300)
+        g = [rng.randint(0, 1) for _ in range(t_max)]
+        n = [rng.randint(1, 3)]
+        for t in range(t_max):
+            n.append(n[t] + g[t] + rng.randint(1, 2))
+        depth = n[-1]
+        members = n_members(depth, rng, rng.choice([0.01, 0.03, 0.1]))
+        members = members or frozenset({format(rng.randrange(1 << depth), f"0{depth}b")})
+        x = min(members)
+        u_strs = []
+        for length in n:
+            words = [format(v, f"0{length}b") if length else "" for v in range(1 << length)]
+            extended = {m[:length] for m in members}
+            left = {w for w in words if w <= x[:length]}
+            u_strs.append(left | {w for w in words if w not in extended and rng.random() < 0.6})
+        u_sets = [to_class(frozenset(u), length) for u, length in zip(u_strs, n)]
+        result = vt_construction(to_class(members, depth), u_sets, lambda t: g[t], n, t_max)
+
+        covers = n_vt_covers(u_strs, n, g, t_max)
+        for t in range(t_max + 1):
+            assert {str(s) for s in result.levels[t].cover.members()} == covers[t]
+        for t in range(t_max):
+            width = 1 << (n[t + 1] - n[t])
+            for sigma in covers[t]:
+                mixed += 0 < sum(1 for s in u_strs[t + 1] if s.startswith(sigma)) < width
+        exit_t = 0
+        for t in range(t_max + 1):
+            if x[: n[t]] not in covers[t]:
+                break
+            exit_t = t
+        if exit_t == t_max:
+            assert result.witness is None
+        else:
+            assert result.witness_t == exit_t and str(result.witness) == x[: n[exit_t]]
+            assert result.witness_density <= Dyadic.pow2(-g[exit_t])
+    assert mixed >= 100  # the level sets are mixed below many cover strings, not one per level
+
+
 # -- naive labelability over sets of words ---------------------------------------
 
 
