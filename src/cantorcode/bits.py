@@ -33,8 +33,8 @@ class BitString:
                 raise ValueError(f"not a bit: {b!r}")
             value = (value << 1) | bit
             length += 1
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "length", length)
+        _set_value(self, value)
+        _set_length(self, length)
 
     def __setattr__(self, name, val):  # pragma: no cover - defensive
         raise AttributeError("BitString is immutable")
@@ -44,8 +44,8 @@ class BitString:
         if value < 0 or length < 0 or value >> length:
             raise ValueError(f"value {value} does not fit in {length} bits")
         s = cls.__new__(cls)
-        object.__setattr__(s, "value", value)
-        object.__setattr__(s, "length", length)
+        _set_value(s, value)
+        _set_length(s, length)
         return s
 
     # -- basic queries ------------------------------------------------------
@@ -132,6 +132,9 @@ class BitString:
         return f"BitString('{self}')"
 
 
+# the slots' own setters: they bypass the raising __setattr__ at less cost than object's
+_set_value, _set_length = BitString.value.__set__, BitString.length.__set__
+
 EMPTY = BitString()
 
 
@@ -162,8 +165,8 @@ class Dyadic:
             zeros = min((num & -num).bit_length() - 1, exp)
             num >>= zeros
             exp -= zeros
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "exp", exp)
+        _set_num(self, num)
+        _set_exp(self, exp)
 
     def __setattr__(self, name, val):  # pragma: no cover - defensive
         raise AttributeError("Dyadic is immutable")
@@ -256,6 +259,8 @@ class Dyadic:
         # Convenience for display only; never used in a verdict.
         return self.num / (1 << self.exp)
 
+
+_set_num, _set_exp = Dyadic.num.__set__, Dyadic.exp.__set__
 
 ZERO = Dyadic(0)
 ONE = Dyadic(1)

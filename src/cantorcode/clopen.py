@@ -15,6 +15,7 @@ budgeted pruning construction, and the extension/density property verifiers.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, TYPE_CHECKING
 
@@ -312,6 +313,31 @@ class ClopenClass:
         """True iff some member has s as a prefix."""
         self._check_len(s)
         return _at(self._root, s.as_int, len(s)) is not _EMPTY
+
+    def first_inextendible(self, words) -> BitString | None:
+        """The first of the equal-length words, in the given order, that no member extends,
+        or None: one stack walk down the trie carries the sorted run of word values that
+        reach each node; an empty node marks its run dead, a full one or one at the words'
+        length clears it."""
+        if not words:
+            return None
+        length = words[0].length
+        if {w.length for w in words} != {length}:
+            raise PreconditionError("words of different lengths")
+        if length > self.depth:
+            raise PreconditionError("string deeper than class approximation")
+        order = sorted(range(len(words)), key=[w.value for w in words].__getitem__)
+        values = [words[i].value for i in order]
+        dead, stack = len(words), [(self._root, 0, len(words), length)]
+        while stack:
+            node, lo, hi, rest = stack.pop()
+            if node is _EMPTY:
+                dead = min([dead, *order[lo:hi]])
+            elif node is not _FULL and rest and lo < hi:
+                rest -= 1  # the run shares its bits above `rest`: split it on that bit
+                mid = bisect_left(values, (values[lo] >> rest | 1) << rest, lo, hi)
+                stack += ((node[0], lo, mid, rest), (node[1], mid, hi, rest))
+        return None if dead == len(words) else words[dead]
 
     def density(self, s: BitString) -> Dyadic:
         """Relative measure of the class inside the cylinder of s, in [0, 1]."""

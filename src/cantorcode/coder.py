@@ -108,10 +108,9 @@ def settle_words(
     if any(w is None for w in words):
         raise PreconditionError(f"extension property violated at {sigma or 'the root'}")
     slots = tuple(words)  # type: ignore[arg-type]
-    for w in slots:
-        if not P.is_extendible(w):
-            raise InternalError(f"settled word {w} is not extendible in the final class")
-    if len(set(slots)) != len(slots):
+    if (dead := P.first_inextendible(slots)) is not None:
+        raise InternalError(f"settled word {dead} is not extendible in the final class")
+    if len({w.value for w in slots}) != len(slots):  # every slot word has length L(i+1)
         raise InternalError(f"settled words at {sigma} are not pairwise distinct")
     return WordTable(sigma, level, slots, tuple(history))
 

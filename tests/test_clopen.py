@@ -258,6 +258,41 @@ class TestCylinderQueries:
         assert ClopenClass.from_cylinders(depth, map(B, taus)) == c
 
 
+class TestFirstInextendible:
+    def test_examples(self):
+        c = cls(3, "000", "001", "110")
+        words = [B("00"), B("11"), B("10"), B("01"), B("10")]
+        assert c.first_inextendible(words) == B("10")
+        assert c.first_inextendible(words[:2]) is None
+        assert c.first_inextendible([B("01"), B("10")]) == B("01")
+        assert c.first_inextendible([B("")]) is None
+        assert ClopenClass.empty(3).first_inextendible([B("")]) == B("")
+        assert c.first_inextendible([]) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_walk_equals_first_failing_root_walk(self, data):
+        depth = data.draw(st.integers(0, 7), label="depth")
+        c = draw_any_class(data, depth)
+        length = data.draw(st.one_of(st.just(0), st.just(depth), st.integers(0, depth)),
+                           label="length")
+        every = [B.from_int(v, length) for v in range(1 << length)]
+        live = [w for w in every if c.is_extendible(w)]
+        dead = [w for w in every if not c.is_extendible(w)]
+        pool = data.draw(st.sampled_from([p for p in (every, live, dead) if p]), label="pool")
+        # unsorted, with repeats; the empty list included
+        words = data.draw(st.lists(st.sampled_from(pool), max_size=20), label="words")
+        assert c.first_inextendible(words) == next((w for w in words if not c.is_extendible(w)),
+                                                   None)
+
+    def test_mixed_lengths_and_deep_words_rejected(self):
+        c = ClopenClass.full(3)
+        with pytest.raises(PreconditionError, match="words of different lengths"):
+            c.first_inextendible([B("01"), B("011")])
+        with pytest.raises(PreconditionError, match="deeper than class approximation"):
+            c.first_inextendible([B("0000"), B("1111")])
+
+
 class TestDeepClasses:
     """Trie writes and listings are loops: classes thousands of levels deep stay usable."""
 
@@ -316,6 +351,15 @@ class TestDeepClasses:
         assert c.meet_measure(ClopenClass.full(1500).minus_cylinder(p.prefix(1500))).is_zero()
         assert ClopenClass.full(3000).meet_measure(ClopenClass.from_members(2000, [p.prefix(2000)])) \
             == Dyadic(1, 2000)
+
+    def test_first_inextendible_at_depth_5000(self):
+        deep = B("01" * (self.DEPTH // 2))
+        c = ClopenClass.from_members(self.DEPTH, [deep])
+        near = deep.prefix(self.DEPTH - 1).append(0)  # leaves deep's path at the last bit
+        far = B("1" * self.DEPTH)
+        assert c.first_inextendible([deep, deep]) is None
+        assert c.first_inextendible([deep, near, far]) == near
+        assert c.first_inextendible([far, deep, near]) == far
 
     def test_minus_cylinder_at_depth_5000(self):
         deep = B("10" * (self.DEPTH // 2))

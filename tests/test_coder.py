@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantorcode.bits import BitString, Dyadic, EMPTY
-from cantorcode.clopen import ApproxSequence, ClopenClass, random_class
+from cantorcode.clopen import ApproxSequence, ClopenClass, prune, random_class
 from cantorcode.coder import (
     decode,
     encode,
     end_to_end,
     settle_words,
 )
-from cantorcode.errors import PreconditionError
+from cantorcode.errors import InternalError, PreconditionError
 from cantorcode.schedules import oracle_use_bound, preset
 
 B = BitString
@@ -65,6 +65,42 @@ class TestSettleWords:
         # a fixed class has no stages, so there is no history to record
         table = settle_words(ClopenClass.full(2), ONE_BLOCK, EMPTY)
         assert table.history == ()
+
+    @pytest.mark.parametrize("yielded,message", [
+        (("000", "001", "010", "011"), "settled word 010 is not extendible in the final class"),
+        (("000", "001", "001", "011"), "settled words at .* are not pairwise distinct"),
+    ])
+    def test_closing_checks_catch_a_bad_table(self, monkeypatch, yielded, message):
+        """The table is checked against P after it is settled, not trusted from the
+        extensions that filled it: a dead or repeated slot word is an internal error."""
+        monkeypatch.setattr(ClopenClass, "extendible_extensions",
+                            lambda self, s, length: map(B, yielded))
+        with pytest.raises(InternalError, match=message):
+            settle_words(cls(3, "000", "001", "011", "100"), preset("custom", [2], [3]), EMPTY)
+
+
+class TestSettleCost:
+    def test_one_root_walk_per_table(self, monkeypatch):
+        """Each table's closing check is one trie walk over all its words: the only
+        is_extendible call left per table is the sigma precondition."""
+        sched = preset("gacs")
+        levels = 12
+        P = prune(random_class(sched.L(levels) + 2, 7, Dyadic(1, 1)), sched, levels).pstar
+        x = B.from_int(random.Random(12).getrandbits(sched.M(levels)), sched.M(levels))
+        calls = 0
+        is_extendible = ClopenClass.is_extendible
+
+        def counted(self, s):
+            nonlocal calls
+            calls += 1
+            return is_extendible(self, s)
+
+        monkeypatch.setattr(ClopenClass, "is_extendible", counted)
+        path = encode(x, P, sched)
+        monkeypatch.undo()
+        assert decode(path.code, P, sched, levels).source == x
+        assert len(path.slots) == levels
+        assert calls == levels
 
 
 class TestEncode:
