@@ -1,6 +1,6 @@
 """Exact finite-scale block coding into clopen classes, plus labelled-tree reduction."""
 
-from .bits import BitString, Dyadic, EMPTY, ONE, ZERO, dyadic_sum, lex_compare
+from .bits import BitString, Dyadic, EMPTY, ONE, ZERO, dyadic_sum
 from .clopen import (
     ApproxSequence,
     ClopenClass,

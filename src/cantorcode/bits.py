@@ -11,7 +11,7 @@ from typing import Iterable, Iterator
 
 from .errors import PreconditionError
 
-__all__ = ["BitString", "EMPTY", "lex_compare", "Dyadic", "dyadic_sum", "ZERO", "ONE"]
+__all__ = ["BitString", "EMPTY", "Dyadic", "dyadic_sum", "ZERO", "ONE"]
 
 
 class BitString:
@@ -104,6 +104,7 @@ class BitString:
         return hash((self.value, self.length))
 
     def _lex_key(self, other: "BitString") -> int:
+        """Dictionary order as -1, 0 or 1: the common prefix decides, a proper prefix first."""
         k = min(self.length, other.length)
         a = self.value >> (self.length - k)
         b = other.value >> (other.length - k)
@@ -136,14 +137,6 @@ class BitString:
 _set_value, _set_length = BitString.value.__set__, BitString.length.__set__
 
 EMPTY = BitString()
-
-
-def lex_compare(a: BitString, b: BitString) -> int:
-    """Dictionary order: compare the common prefix, a proper prefix comes first.
-
-    Returns -1, 0 or 1.  Total on words of equal length.
-    """
-    return a._lex_key(b)
 
 
 class Dyadic:
@@ -245,9 +238,6 @@ class Dyadic:
 
     def __hash__(self) -> int:
         return hash((self.num, self.exp))
-
-    def is_zero(self) -> bool:
-        return self.num == 0
 
     def __str__(self) -> str:
         return f"{self.num}/2^{self.exp}"

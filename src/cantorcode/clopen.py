@@ -139,25 +139,6 @@ def _union(a, b, height: int):
     return _make(_union(a[0], b[0], height - 1), _union(a[1], b[1], height - 1), height)
 
 
-def _intersect(a, b, height: int):
-    if a is _EMPTY or b is _EMPTY:
-        return _EMPTY
-    if a is _FULL:
-        return b
-    if b is _FULL:
-        return a
-    return _make(_intersect(a[0], b[0], height - 1), _intersect(a[1], b[1], height - 1), height)
-
-
-def _minus(a, b, height: int):
-    if a is _EMPTY or b is _FULL:
-        return _EMPTY
-    if b is _EMPTY:
-        return a
-    aa = _split(a)
-    return _make(_minus(aa[0], b[0], height - 1), _minus(aa[1], b[1], height - 1), height)
-
-
 def _subset(a, b) -> bool:
     if a is _EMPTY or b is _FULL:
         return True
@@ -309,6 +290,13 @@ class ClopenClass:
         if len(s) > self.depth:
             raise PreconditionError("string deeper than class approximation")
 
+    def _below(self, s: BitString, length: int):
+        """Subtree at s, for a query on the extensions of s of the given length."""
+        self._check_len(s)
+        if not len(s) <= length <= self.depth:
+            raise PreconditionError(f"extension length {length} out of range")
+        return _at(self._root, s.as_int, len(s))
+
     def is_extendible(self, s: BitString) -> bool:
         """True iff some member has s as a prefix."""
         self._check_len(s)
@@ -347,11 +335,7 @@ class ClopenClass:
 
     def extension_count(self, s: BitString, length: int) -> int:
         """Number of extendible length-`length` extensions of s."""
-        self._check_len(s)
-        if not len(s) <= length <= self.depth:
-            raise PreconditionError(f"extension length {length} out of range")
-        sub = _at(self._root, s.as_int, len(s))
-        return _ext_count(sub, length - len(s))
+        return _ext_count(self._below(s, length), length - len(s))
 
     def extension_rank(self, s: BitString, w: BitString) -> int:
         """Number of extendible len(w)-bit extensions of s that sort before w: one walk
@@ -370,20 +354,22 @@ class ClopenClass:
                 node = left
         return rank
 
-    def extendible_strings(self, length: int) -> Iterator[BitString]:
-        """All extendible words of the given length, lexicographically."""
-        if not 0 <= length <= self.depth:
-            raise PreconditionError("string deeper than class approximation")
-        for v in _iter_prefix_values(self._root, length):
-            yield BitString.from_int(v, length)
+    def extension_select(self, s: BitString, length: int, j: int) -> BitString:
+        """The extendible length-`length` extension of s of rank j, the inverse of
+        extension_rank: one walk down below s that goes right, past the left child's
+        extendible count, wherever j reaches that count."""
+        node, value, k = self._below(s, length), s.as_int, j
+        for rest in range(length - len(s) - 1, -1, -1):
+            left, right = _split(node)
+            nl = _ext_count(left, rest)
+            node, value, k = (left, value << 1, k) if k < nl else (right, value << 1 | 1, k - nl)
+        if node is _EMPTY or k:  # j is negative, or not below the extension count
+            raise PreconditionError(f"no extendible extension of rank {j} below {s or 'the root'}")
+        return BitString.from_int(value, length)
 
     def extendible_extensions(self, s: BitString, length: int) -> Iterator[BitString]:
         """Extendible length-`length` extensions of s, lexicographically, lazily."""
-        self._check_len(s)
-        if not len(s) <= length <= self.depth:
-            raise PreconditionError(f"extension length {length} out of range")
-        sub = _at(self._root, s.as_int, len(s))
-        for v in _iter_prefix_values(sub, length - len(s), s.as_int):
+        for v in _iter_prefix_values(self._below(s, length), length - len(s), s.as_int):
             yield BitString.from_int(v, length)
 
     def leftmost(self, length: int) -> BitString:
@@ -478,14 +464,6 @@ class ClopenClass:
     def union(self, other: "ClopenClass") -> "ClopenClass":
         self._same_depth(other)
         return ClopenClass(self.depth, _union(self._root, other._root, self.depth))
-
-    def intersect(self, other: "ClopenClass") -> "ClopenClass":
-        self._same_depth(other)
-        return ClopenClass(self.depth, _intersect(self._root, other._root, self.depth))
-
-    def minus(self, other: "ClopenClass") -> "ClopenClass":
-        self._same_depth(other)
-        return ClopenClass(self.depth, _minus(self._root, other._root, self.depth))
 
     def is_subset_of(self, other: "ClopenClass") -> bool:
         self._same_depth(other)

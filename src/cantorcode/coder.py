@@ -1,11 +1,12 @@
 """Block coding through a clopen class: word tables, encoding, instrumented decoding.
 
 For a node sigma at block boundary L(i), a word table assigns to each slot
-j < 2^(m_i) a distinct extendible extension of sigma of length L(i+1).  Tables
-are settled by a stage process that fills the least open slot with the least
-fresh extendible candidate and clears slots whose word dies under a shrinking
-approximation; against a fixed class the fixpoint is simply the 2^(m_i)
-lexicographically least extendible extensions in slot order.
+j < 2^(m_i) a distinct extendible extension of sigma of length L(i+1).  Against
+a fixed class it holds the 2^(m_i) lexicographically least ones in slot order,
+so the table is a query on the class's trie that selects and checks slot j's
+word when it is read.  Under a shrinking approximation, a stage process fills
+the least open slot with the least fresh extendible candidate and clears slots
+whose word dies, and the table it settles is stored word by word.
 
 Encoding maps source block number j to slot j's word; decoding inverts this by
 ranking the oracle's block among the extendible extensions of sigma (slot j
@@ -14,6 +15,7 @@ holds the j-th least), and records exactly how much oracle it consulted per bit.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import count
 
@@ -43,11 +45,38 @@ class TableEvent:
     word: BitString
 
 
+@dataclass(frozen=True, eq=False)
+class _SelectedSlots(Sequence):
+    """A fixed class's table as a read-only view: slot j is the j-th least extendible
+    extension of sigma, selected by one walk when read and checked against P there."""
+
+    P: ClopenClass
+    sigma: BitString
+    width: int  # L(i+1)
+    size: int  # 2^(m_i)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, j: int) -> BitString:
+        if not 0 <= j < self.size:
+            raise IndexError(f"slot {j} out of range")
+        word = self.P.extension_select(self.sigma, self.width, j)
+        if self.P.first_inextendible((word,)) is not None:
+            raise InternalError(f"settled word {word} is not extendible in the final class")
+        if self.P.extension_rank(self.sigma, word) != j:  # rank tells the slots' words apart
+            raise InternalError(f"settled words at {self.sigma} are not pairwise distinct")
+        return word
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, (tuple, _SelectedSlots)) and tuple(self) == tuple(other)
+
+
 @dataclass(frozen=True)
 class WordTable:
     sigma: BitString
     level: int
-    slots: tuple[BitString, ...]
+    slots: Sequence[BitString]  # a tuple when staged, a view selecting each read slot when fixed
     history: tuple[TableEvent, ...]  # empty for a fixed class
 
 
@@ -57,15 +86,16 @@ def settle_words(
     sigma: BitString,
     stages: ApproxSequence | None = None,
 ) -> WordTable:
-    """Run the slot-filling stage process to its fixpoint and check the table.
+    """The word table at sigma; raises when sigma has fewer than 2^(m_i) extendible
+    extensions at the next boundary.
 
-    With `stages` supplied, step s = 1, 2, ... makes one event against
-    `stages.at(s)`: it clears the least slot whose word has lost all extensions,
-    or fills the least open slot with the least fresh extendible extension; a
-    step with no such slot moves on to the next stage, and ends the run at the
-    final stage, which must equal P.  Only a staged run records a history.
-    Raises when the fixpoint leaves a slot open, which happens exactly when
-    sigma has fewer than 2^(m_i) extendible extensions at the next boundary.
+    Without `stages` the table builds no word: slot j is selected from P's trie
+    when it is read, then checked to be extendible and of rank j.  With `stages`,
+    step s = 1, 2, ... makes one event against `stages.at(s)`: it clears the
+    least slot whose word has lost all extensions, or fills the least open slot
+    with the least fresh extendible extension; a step with no such slot moves on
+    to the next stage, and ends the run at the final stage, which must equal P.
+    Only a staged run records a history; its settled words are checked at once.
     """
     level = sched.block_index(len(sigma), code=True)
     if sched.L(level) != len(sigma):
@@ -79,32 +109,30 @@ def settle_words(
         raise PreconditionError("approximation stages must end at the coding class")
 
     nslots = 1 << sched.m(level)
+    if stages is None:
+        if P.extension_count(sigma, width) < nslots:
+            raise PreconditionError(f"extension property violated at {sigma or 'the root'}")
+        return WordTable(sigma, level, _SelectedSlots(P, sigma, width, nslots), ())
     words: list[BitString | None] = [None] * nslots
     history: list[TableEvent] = []
-    if stages is None:
-        # Against a fixed class nothing is ever cleared, so the fixpoint is the
-        # first 2^(m_i) extendible extensions in slot order.
-        for slot, cand in zip(range(nslots), P.extendible_extensions(sigma, width)):
-            words[slot] = cand
-    else:
-        for step in count(1):
-            cls = stages.at(step)
-            slot = next((t for t, w in enumerate(words)
-                         if w is None or not cls.is_extendible(w)), None)
-            if slot is None:
-                if cls == P:  # else drain the stages left, so the fixpoint is against P
-                    break
-            elif (w := words[slot]) is not None:
-                words[slot] = None
-                history.append(TableEvent(step, slot, "clear", w))
-            else:
-                taken = set(words)
-                fresh = next((c for c in cls.extendible_extensions(sigma, width)
-                              if c not in taken), None)
-                if fresh is None:
-                    break  # no unused extension left; the open-slot check reports it
-                words[slot] = fresh
-                history.append(TableEvent(step, slot, "assign", fresh))
+    for step in count(1):
+        cls = stages.at(step)
+        slot = next((t for t, w in enumerate(words)
+                     if w is None or not cls.is_extendible(w)), None)
+        if slot is None:
+            if cls == P:  # else drain the stages left, so the fixpoint is against P
+                break
+        elif (w := words[slot]) is not None:
+            words[slot] = None
+            history.append(TableEvent(step, slot, "clear", w))
+        else:
+            taken = set(words)
+            fresh = next((c for c in cls.extendible_extensions(sigma, width)
+                          if c not in taken), None)
+            if fresh is None:
+                break  # no unused extension left; the open-slot check reports it
+            words[slot] = fresh
+            history.append(TableEvent(step, slot, "assign", fresh))
     if any(w is None for w in words):
         raise PreconditionError(f"extension property violated at {sigma or 'the root'}")
     slots = tuple(words)  # type: ignore[arg-type]

@@ -61,6 +61,17 @@ class TestSettleWords:
             ("assign", 0, "10"),
         ]
 
+    def test_fixed_table_is_a_view(self):
+        """A fixed-class table has its 2^m slots and equals the tuple of their words."""
+        P = cls(3, "000", "001", "011", "100", "110")
+        table = settle_words(P, preset("custom", [2], [3]), EMPTY)
+        assert len(table.slots) == 4
+        assert table.slots == (B("000"), B("001"), B("011"), B("100"))
+        assert table.slots == settle_words(P, preset("custom", [2], [3]), EMPTY).slots
+        assert table.slots != [B("000"), B("001"), B("011"), B("100")]
+        with pytest.raises(IndexError):
+            table.slots[4]
+
     def test_history_recorded_for_static_run(self):
         # a fixed class has no stages, so there is no history to record
         table = settle_words(ClopenClass.full(2), ONE_BLOCK, EMPTY)
@@ -71,18 +82,20 @@ class TestSettleWords:
         (("000", "001", "001", "011"), "settled words at .* are not pairwise distinct"),
     ])
     def test_closing_checks_catch_a_bad_table(self, monkeypatch, yielded, message):
-        """The table is checked against P after it is settled, not trusted from the
-        extensions that filled it: a dead or repeated slot word is an internal error."""
-        monkeypatch.setattr(ClopenClass, "extendible_extensions",
-                            lambda self, s, length: map(B, yielded))
+        """Each slot word is checked against P when it is read, not trusted from the
+        select walk that found it: a dead or repeated slot word is an internal error."""
+        monkeypatch.setattr(ClopenClass, "extension_select",
+                            lambda self, s, length, j: B(yielded[j]))
+        table = settle_words(cls(3, "000", "001", "011", "100"), preset("custom", [2], [3]), EMPTY)
+        assert [table.slots[j] for j in (0, 1)] == [B("000"), B("001")]
         with pytest.raises(InternalError, match=message):
-            settle_words(cls(3, "000", "001", "011", "100"), preset("custom", [2], [3]), EMPTY)
+            table.slots[2]
 
 
 class TestSettleCost:
     def test_one_root_walk_per_table(self, monkeypatch):
-        """Each table's closing check is one trie walk over all its words: the only
-        is_extendible call left per table is the sigma precondition."""
+        """A fixed-class table checks the word it hands out without is_extendible: the
+        only is_extendible call left per table is the sigma precondition."""
         sched = preset("gacs")
         levels = 12
         P = prune(random_class(sched.L(levels) + 2, 7, Dyadic(1, 1)), sched, levels).pstar
@@ -101,6 +114,22 @@ class TestSettleCost:
         assert decode(path.code, P, sched, levels).source == x
         assert len(path.slots) == levels
         assert calls == levels
+
+    def test_encode_builds_no_table(self, monkeypatch):
+        """Encoding selects each block's word from the trie: at 16 gacs levels, whose last
+        table has 2^16 slots, no extension list is ever built."""
+        sched = preset("gacs")
+        levels = 16
+        P = prune(random_class(sched.L(levels) + 2, 7, Dyadic(1, 1)), sched, levels).pstar
+        x = B.from_int(random.Random(16).getrandbits(sched.M(levels)), sched.M(levels))
+
+        def refuse(self, s, length):
+            raise AssertionError("encode built an extension list")
+
+        monkeypatch.setattr(ClopenClass, "extendible_extensions", refuse)
+        path = encode(x, P, sched)
+        assert len(path.slots) == levels
+        assert decode(path.code, P, sched, levels).source == x
 
 
 class TestEncode:
@@ -227,7 +256,7 @@ class TestRank:
         for j, w in enumerate(slots):
             assert p.extension_rank(EMPTY, w) == j
             assert decode(w, p, sched, 1).slots == (j,)
-        for w in p.extendible_strings(l):
+        for w in p.extendible_extensions(EMPTY, l):
             if w not in slots:
                 assert p.extension_rank(EMPTY, w) >= 1 << m
                 with pytest.raises(PreconditionError, match="oracle outside code tree"):

@@ -143,7 +143,7 @@ def test_enumeration_and_leftmost_match(seed):
     assert [str(m) for m in c.members()] == sorted(members)
     for length in range(depth + 1):
         want = sorted({m[:length] for m in members})
-        assert [str(s) for s in c.extendible_strings(length)] == want
+        assert [str(s) for s in c.extendible_extensions(B(""), length)] == want
         assert str(c.leftmost(length)) == want[0]
     quota = rng.randint(0, len(members))
     assert [str(m) for m in c.keep_leftmost(quota).members()] == sorted(members)[:quota]
